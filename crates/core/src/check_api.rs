@@ -33,7 +33,7 @@
 //!   structural order.
 //!
 //! Excluded on purpose: metrics, counters, trace state, per-link
-//! utilization, churn report trackers (all observers), and the dense
+//! utilization, churn report trackers (all observers), and the
 //! id/sequence allocators (`next_message_id`, `seq_counters`) which
 //! are a function of the set of injections already fired — a fact the
 //! checker already keys on.
@@ -268,8 +268,7 @@ impl ProtocolStep for CheckNet {
     fn inject(&mut self, src: NodeId, dst: NodeId, payload_len: u32) -> FlowKey {
         // Mirror send_message's flow/sequence assignment *before* the
         // call increments the counter.
-        let flow = src.index() * self.net.topo.num_nodes() + dst.index();
-        let msg_seq = self.net.seq_counters[flow];
+        let msg_seq = self.net.next_flow_seq(src, dst);
         let id = self.net.send_message(src, dst, payload_len);
         let key = (src.as_u32(), dst.as_u32(), msg_seq);
         self.labels.insert(id, key);

@@ -51,7 +51,7 @@ use cr_sim::trace::{Event, KillCause, TraceSink, TraceStats};
 use cr_sim::{Cycle, MessageId, NodeId, PortId, SimRng, VcId};
 use cr_topology::Topology;
 use cr_traffic::TrafficSource;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 #[path = "network_sharded.rs"]
@@ -166,8 +166,10 @@ pub struct Network {
     worm_sources: Vec<u32>,
     /// Future trace events, time-sorted (front = next due).
     scheduled: VecDeque<cr_traffic::TraceEvent>,
-    /// `seq_counters[src * n + dst]` = next per-flow sequence number.
-    seq_counters: Vec<u64>,
+    /// Next per-flow sequence number, keyed on `(src, dst)`; flows
+    /// that never sent are absent (next number 0). Sparse, because a
+    /// dense n² table is 32 GiB at 65 536 nodes.
+    seq_counters: BTreeMap<(NodeId, NodeId), u64>,
     next_message_id: u64,
     /// Per-cycle switch-traversal output, reused across cycles.
     traversal_scratch: Vec<Traversal>,
@@ -528,7 +530,7 @@ impl Network {
             bwd_scratch: Vec::new(),
             worm_sources: Vec::new(),
             scheduled: VecDeque::new(),
-            seq_counters: vec![0; n * n],
+            seq_counters: BTreeMap::new(),
             next_message_id: 0,
             traversal_scratch: Vec::new(),
             stall_scratch: Vec::new(),
@@ -818,6 +820,12 @@ impl Network {
         }
     }
 
+    /// The sequence number the next message from `src` to `dst` will
+    /// carry.
+    pub(crate) fn next_flow_seq(&self, src: NodeId, dst: NodeId) -> u64 {
+        self.seq_counters.get(&(src, dst)).copied().unwrap_or(0)
+    }
+
     /// Queues a message for transmission, bypassing the traffic
     /// sources — the programmatic send API used by the examples.
     ///
@@ -834,9 +842,8 @@ impl Network {
         assert!(payload_len >= 2, "a worm needs a head and a tail");
         let id = MessageId::new(self.next_message_id);
         self.next_message_id += 1;
-        let flow = src.index() * self.topo.num_nodes() + dst.index();
-        let msg_seq = self.seq_counters[flow];
-        self.seq_counters[flow] += 1;
+        let msg_seq = self.next_flow_seq(src, dst);
+        self.seq_counters.insert((src, dst), msg_seq + 1);
         let hops = self.topo.distance(src, dst);
         let budget = self.cfg.routing.misroute_budget() as usize;
         let channel = dst.index() % self.cfg.inject_channels;

@@ -243,3 +243,22 @@ fn trace_scheduling_composes_with_bernoulli_traffic() {
     assert!(report.counters.messages_generated as usize >= trace.len());
     assert!(!report.deadlocked);
 }
+
+#[test]
+fn torus256_builds_and_drains_a_message() {
+    // 65 536 nodes: per-flow state must stay proportional to the flows
+    // used, not to n² node pairs.
+    let mut net = NetworkBuilder::new(KAryNCube::torus(256, 2))
+        .routing(RoutingKind::Adaptive { vcs: 1 })
+        .protocol(ProtocolKind::Cr)
+        .warmup(0)
+        .seed(3)
+        .build();
+    net.set_record_deliveries(true);
+    let (src, dst) = (NodeId::new(0), NodeId::new(3 * 256 + 5));
+    net.send_message(src, dst, 8);
+    net.send_message(src, dst, 8);
+    assert!(net.run_until_quiescent(10_000));
+    let seqs: Vec<u64> = net.take_delivery_log().iter().map(|d| d.msg_seq).collect();
+    assert_eq!(seqs, vec![0, 1], "one flow, delivered in order");
+}

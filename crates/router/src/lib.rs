@@ -28,7 +28,7 @@
 //! The [`Router`] itself is protocol-agnostic: kills, timeouts, padding
 //! and retransmission live one layer up (the `cr-core` crate), which
 //! drives routers through [`Router::accept`],
-//! [`Router::route_and_allocate`], [`Router::traverse`] and
+//! [`Router::route_and_allocate`], [`Router::traverse_into`] and
 //! [`Router::flush_worm`].
 
 #![forbid(unsafe_code)]

@@ -11,7 +11,10 @@
 //!   space; plus ejection ports with allocation but no credits
 //!   (the receiver always sinks one flit per ejection port per cycle);
 //! * the **routing/allocation** and **switch-traversal** pipeline
-//!   stages, invoked once per cycle by the network.
+//!   stages, invoked once per cycle by the network. Each visits only
+//!   live state — input VCs that may hold an unrouted header, output
+//!   ports with an allocated VC or an open stall streak — in the order
+//!   a scan of every VC and port would use (DESIGN.md §10).
 //!
 //! The router is deliberately protocol-agnostic: it neither times out
 //! nor kills. The CR/FCR machinery drives it through
@@ -20,7 +23,7 @@
 use crate::flit::{Flit, WormId};
 use crate::routing::{Candidate, RouteCtx, RoutingFunction};
 use cr_sim::trace::StallCause;
-use cr_sim::{Cycle, Fifo, NodeId, PortId, SimRng, VcId};
+use cr_sim::{Cycle, NodeId, PortId, SimRng, VcId};
 use cr_topology::Topology;
 
 /// Where an allocated worm is headed from this router.
@@ -199,25 +202,108 @@ pub struct FlushResult {
     pub released: Option<RouteTarget>,
 }
 
+/// One input VC's flit FIFO: a ring over its own window
+/// `base..base + cap` of the router's shared flit slab
+/// (`Router::slots`), so a router keeps every input buffer in one
+/// allocation.
+#[derive(Debug, Clone, Copy)]
+struct Ring {
+    base: usize,
+    cap: usize,
+    head: usize,
+    len: usize,
+}
+
+impl Ring {
+    /// Slab index of queue position `i`; needs `i < cap`.
+    fn slot(&self, i: usize) -> usize {
+        let j = self.head + i;
+        self.base + if j >= self.cap { j - self.cap } else { j }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn is_full(&self) -> bool {
+        self.len == self.cap
+    }
+
+    fn get<'a>(&self, slots: &'a [Option<Flit>], i: usize) -> Option<&'a Flit> {
+        if i < self.len {
+            slots[self.slot(i)].as_ref()
+        } else {
+            None
+        }
+    }
+
+    fn front<'a>(&self, slots: &'a [Option<Flit>]) -> Option<&'a Flit> {
+        self.get(slots, 0)
+    }
+
+    fn front_mut<'a>(&self, slots: &'a mut [Option<Flit>]) -> Option<&'a mut Flit> {
+        if self.len > 0 {
+            slots[self.slot(0)].as_mut()
+        } else {
+            None
+        }
+    }
+
+    /// Appends `flit`; `false` (and no change) when full.
+    fn push(&mut self, slots: &mut [Option<Flit>], flit: Flit) -> bool {
+        if self.is_full() {
+            return false;
+        }
+        slots[self.slot(self.len)] = Some(flit);
+        self.len += 1;
+        true
+    }
+
+    fn pop(&mut self, slots: &mut [Option<Flit>]) -> Option<Flit> {
+        if self.len == 0 {
+            return None;
+        }
+        let flit = slots[self.slot(0)].take();
+        self.head = if self.head + 1 == self.cap {
+            0
+        } else {
+            self.head + 1
+        };
+        self.len -= 1;
+        flit
+    }
+
+    /// Removes the flits `keep` rejects, preserving the order of the
+    /// rest; returns how many were removed.
+    fn retain(&mut self, slots: &mut [Option<Flit>], keep: impl Fn(&Flit) -> bool) -> usize {
+        let mut kept = 0;
+        for i in 0..self.len {
+            let Some(flit) = slots[self.slot(i)].take() else {
+                continue;
+            };
+            if keep(&flit) {
+                slots[self.slot(kept)] = Some(flit);
+                kept += 1;
+            }
+        }
+        let removed = self.len - kept;
+        self.len = kept;
+        removed
+    }
+}
+
 #[derive(Debug)]
 struct InputVc {
-    buf: Fifo<Flit>,
+    buf: Ring,
     route: Option<RouteTarget>,
     worm: Option<WormId>,
     /// Last cycle a flit was forwarded out of this VC (or arrived into
     /// an empty VC); drives path-wide stall detection.
     last_progress: Cycle,
-}
-
-impl InputVc {
-    fn new(depth: usize) -> Self {
-        InputVc {
-            buf: Fifo::with_capacity(depth),
-            route: None,
-            worm: None,
-            last_progress: Cycle::ZERO,
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -233,31 +319,87 @@ struct EjectPort {
     allocated_to: Option<(PortId, VcId)>,
 }
 
+/// A fixed-size set of small indices, one bit each, walked in
+/// ascending order.
+#[derive(Debug, Clone)]
+struct BitSet {
+    words: Vec<u64>,
+}
+
+impl BitSet {
+    fn new(len: usize) -> Self {
+        BitSet {
+            words: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// The smallest member in `from..end`, if any.
+    fn next_in(&self, from: usize, end: usize) -> Option<usize> {
+        if from >= end {
+            return None;
+        }
+        let mut w = from / 64;
+        let mut bits = self.words[w] & (!0u64 << (from % 64));
+        loop {
+            if bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                return (i < end).then_some(i);
+            }
+            w += 1;
+            if w * 64 >= end {
+                return None;
+            }
+            bits = self.words[w];
+        }
+    }
+}
+
 /// The wormhole router for one node. See the module docs for the
 /// microarchitecture.
 #[derive(Debug)]
 pub struct Router {
     node: NodeId,
     cfg: RouterConfig,
-    /// inputs[port][vc]; injection ports have a single VC.
-    inputs: Vec<Vec<InputVc>>,
-    /// outputs[port][vc] for neighbor ports only.
-    outputs: Vec<Vec<OutputVc>>,
+    /// Input VCs, flat: neighbor port `p` VC `v` at `p * num_vcs + v`,
+    /// then one single-VC entry per injection channel.
+    inputs: Vec<InputVc>,
+    /// Flit slots behind every input VC's [`Ring`].
+    slots: Vec<Option<Flit>>,
+    /// Output VCs of the neighbor ports, flat at `p * num_vcs + v`.
+    outputs: Vec<OutputVc>,
     ejects: Vec<EjectPort>,
     dead_out: Vec<bool>,
     counters: RouterCounters,
     rng: SimRng,
     /// (port, vc) pairs whose orphan drop needs an upstream credit.
     orphan_credits: Vec<(PortId, VcId)>,
-    /// The flattened `(port, vc)` input list, precomputed once: the
-    /// allocation stage's round-robin walks it every cycle, and the
-    /// input geometry never changes after construction.
-    input_list: Vec<(usize, usize)>,
+    /// Input VCs that may hold an unrouted front flit: a superset of
+    /// the non-empty, unrouted VCs, so the allocation stage visits
+    /// only these.
+    pending: BitSet,
+    /// Neighbor output ports with an allocated output VC or an open
+    /// stall streak, possibly plus ports that just went idle: the
+    /// traversal stage visits only these.
+    busy: BitSet,
     /// Routing-candidate scratch, reused across headers and cycles.
     candidates: Vec<Candidate>,
-    /// Per-cycle "input port already supplied a flit" flags, reused
-    /// across cycles.
-    input_used: Vec<bool>,
+    /// `input_used[p] == traverse_epoch` marks input port `p` as having
+    /// supplied a flit in the current [`Router::traverse_into`] call;
+    /// bumping the epoch resets every flag at once.
+    input_used: Vec<u64>,
+    traverse_epoch: u64,
     /// Per-neighbor-output-port utilization/stall counters.
     link_stats: Vec<LinkStats>,
     /// Open stall streak per neighbor output port: `(cause, start,
@@ -286,46 +428,49 @@ impl Router {
     /// [`RouterConfig::validate`]).
     pub fn new(node: NodeId, cfg: RouterConfig, rng: SimRng) -> Self {
         cfg.validate();
-        let mut inputs = Vec::with_capacity(cfg.num_node_ports + cfg.num_inject);
-        for _ in 0..cfg.num_node_ports {
-            inputs.push(
-                (0..cfg.num_vcs)
-                    .map(|_| InputVc::new(cfg.buffer_depth))
-                    .collect(),
-            );
+        let node_vcs = cfg.num_node_ports * cfg.num_vcs;
+        let num_inputs = node_vcs + cfg.num_inject;
+        let mut inputs = Vec::with_capacity(num_inputs);
+        let mut base = 0;
+        for i in 0..num_inputs {
+            let cap = if i < node_vcs {
+                cfg.buffer_depth
+            } else {
+                cfg.inject_depth
+            };
+            inputs.push(InputVc {
+                buf: Ring {
+                    base,
+                    cap,
+                    head: 0,
+                    len: 0,
+                },
+                route: None,
+                worm: None,
+                last_progress: Cycle::ZERO,
+            });
+            base += cap;
         }
-        for _ in 0..cfg.num_inject {
-            inputs.push(vec![InputVc::new(cfg.inject_depth)]);
-        }
-        let outputs = (0..cfg.num_node_ports)
-            .map(|_| {
-                (0..cfg.num_vcs)
-                    .map(|_| OutputVc {
-                        allocated_to: None,
-                        credits: cfg.buffer_depth + cfg.link_depth,
-                    })
-                    .collect()
-            })
-            .collect();
-        let input_list: Vec<(usize, usize)> = inputs
-            .iter()
-            .enumerate()
-            .flat_map(|(p, vcs)| (0..vcs.len()).map(move |v| (p, v)))
-            .collect();
-        let num_inputs = inputs.len();
+        let output = OutputVc {
+            allocated_to: None,
+            credits: cfg.buffer_depth + cfg.link_depth,
+        };
         Router {
             node,
             cfg,
             inputs,
-            outputs,
+            slots: vec![None; base],
+            outputs: vec![output; node_vcs],
             ejects: vec![EjectPort::default(); cfg.num_eject],
             dead_out: vec![false; cfg.num_node_ports],
             counters: RouterCounters::default(),
             rng,
             orphan_credits: Vec::new(),
-            input_list,
+            pending: BitSet::new(num_inputs),
+            busy: BitSet::new(cfg.num_node_ports),
             candidates: Vec::new(),
-            input_used: vec![false; num_inputs],
+            input_used: vec![0; cfg.num_node_ports + cfg.num_inject],
+            traverse_epoch: 0,
             link_stats: vec![LinkStats::default(); cfg.num_node_ports],
             stall_open: vec![None; cfg.num_node_ports],
             finished_streaks: Vec::new(),
@@ -369,6 +514,40 @@ impl Router {
         }
     }
 
+    /// Flat index of input VC `(port, vc)` into `inputs`.
+    fn input_index(&self, port: PortId, vc: VcId) -> usize {
+        let nodes = self.cfg.num_node_ports;
+        if port.index() < nodes {
+            debug_assert!(vc.index() < self.cfg.num_vcs, "{vc} out of range");
+            port.index() * self.cfg.num_vcs + vc.index()
+        } else {
+            debug_assert_eq!(vc.index(), 0, "injection ports have one VC");
+            nodes * self.cfg.num_vcs + (port.index() - nodes)
+        }
+    }
+
+    /// The `(port, vc)` of flat input index `i` (inverse of
+    /// [`Router::input_index`]).
+    fn input_at(&self, i: usize) -> (PortId, VcId) {
+        let node_vcs = self.cfg.num_node_ports * self.cfg.num_vcs;
+        if i < node_vcs {
+            (
+                PortId::from_index(i / self.cfg.num_vcs),
+                VcId::from_index(i % self.cfg.num_vcs),
+            )
+        } else {
+            (
+                PortId::from_index(self.cfg.num_node_ports + (i - node_vcs)),
+                VcId::from_index(0),
+            )
+        }
+    }
+
+    /// Flat index of output VC `(port, vc)` into `outputs`.
+    fn output_index(&self, port: PortId, vc: VcId) -> usize {
+        port.index() * self.cfg.num_vcs + vc.index()
+    }
+
     /// Marks the outgoing link on `port` as dead; routing functions
     /// will no longer be offered it.
     pub fn set_dead_out(&mut self, port: PortId) {
@@ -399,34 +578,41 @@ impl Router {
     /// router violated credit flow control, which is a simulator bug,
     /// never a legal network state.
     pub fn accept(&mut self, now: Cycle, port: PortId, vc: VcId, flit: Flit) {
-        let ivc = &mut self.inputs[port.index()][vc.index()];
+        let i = self.input_index(port, vc);
+        let ivc = &mut self.inputs[i];
         if ivc.buf.is_empty() {
             ivc.last_progress = now;
         }
-        ivc.buf
-            .push(flit)
+        if !ivc.buf.push(&mut self.slots, flit) {
             // cr-lint: allow(panic-discipline, reason = "documented invariant: a full buffer here means upstream violated credit flow control, which is a simulator bug and must abort loudly, never a recoverable network state")
-            .unwrap_or_else(|_| panic!("credit violation at {} {port} {vc}", self.node));
+            panic!("credit violation at {} {port} {vc}", self.node);
+        }
+        if ivc.route.is_none() {
+            self.pending.insert(i);
+        }
         self.occupancy += 1;
     }
 
     /// Free space in injection channel `i`'s FIFO.
     pub fn injection_free(&self, i: usize) -> usize {
-        let port = self.inject_port(i);
-        self.inputs[port.index()][0].buf.free()
+        let buf = &self.inputs[self.input_index(self.inject_port(i), VcId::new(0))].buf;
+        buf.cap - buf.len()
     }
 
     /// Pushes a flit into injection channel `i`; returns `false`
     /// (leaving the flit with the caller) when the FIFO is full —
     /// which is exactly the back-pressure the CR injector watches.
     pub fn try_inject(&mut self, now: Cycle, i: usize, flit: Flit) -> bool {
-        let port = self.inject_port(i);
-        let ivc = &mut self.inputs[port.index()][0];
+        let idx = self.input_index(self.inject_port(i), VcId::new(0));
+        let ivc = &mut self.inputs[idx];
         if ivc.buf.is_empty() {
             ivc.last_progress = now;
         }
-        let ok = ivc.buf.push(flit).is_ok();
+        let ok = ivc.buf.push(&mut self.slots, flit);
         if ok {
+            if ivc.route.is_none() {
+                self.pending.insert(idx);
+            }
             self.occupancy += 1;
         }
         ok
@@ -436,7 +622,10 @@ impl Router {
     /// whose head-of-line flit is an unrouted header tries to acquire
     /// an output VC (or an ejection port, at the destination).
     ///
-    /// Iteration order rotates with `now` for fairness.
+    /// Iteration order rotates with `now` for fairness: the flat input
+    /// list is walked from `now % len`, wrapping. Only VCs in the
+    /// pending set are visited, in that same order, so grants and
+    /// routing-RNG draws match a walk over every VC.
     ///
     /// Returns the number of orphan flits dropped this call (the
     /// network subtracts them from its in-flight flit counter;
@@ -449,103 +638,129 @@ impl Router {
         topo: &dyn Topology,
         is_killed: &dyn Fn(WormId) -> bool,
     ) -> usize {
-        let n = self.input_list.len();
-        if n == 0 {
-            return 0;
-        }
-        let mut orphans_dropped = 0;
+        let n = self.inputs.len();
         let offset = (now.as_u64() as usize) % n;
+        let mut orphans_dropped = 0;
         // The candidate scratch has to leave `self` for the loop body
         // to borrow the router mutably alongside it.
         let mut candidates = std::mem::take(&mut self.candidates);
-        for k in 0..n {
-            let (p, v) = self.input_list[(k + offset) % n];
-            if self.inputs[p][v].route.is_some() {
-                continue;
-            }
-            let Some(front) = self.inputs[p][v].buf.front().copied() else {
-                continue;
-            };
-            if is_killed(front.worm) {
-                // Teardown in progress: the kill token will flush this.
-                continue;
-            }
-            if !front.is_head() {
-                // A non-head flit with no route: its worm was torn down
-                // while this flit was in flight and it slipped past the
-                // killed registry. Drop defensively.
-                let Some(f) = self.inputs[p][v].buf.pop() else {
-                    continue; // unreachable: front() just succeeded
-                };
-                debug_assert!(!f.is_head());
-                self.occupancy -= 1;
-                orphans_dropped += 1;
-                self.counters.orphan_flits_dropped += 1;
-                if p < self.cfg.num_node_ports {
-                    self.orphan_credits
-                        .push((PortId::from_index(p), VcId::from_index(v)));
+        for (lo, hi) in [(offset, n), (0, offset)] {
+            let mut from = lo;
+            while let Some(i) = self.pending.next_in(from, hi) {
+                from = i + 1;
+                let settled = self.route_input(
+                    i,
+                    routing,
+                    topo,
+                    is_killed,
+                    &mut candidates,
+                    &mut orphans_dropped,
+                );
+                if settled {
+                    self.pending.remove(i);
                 }
-                continue;
-            }
-            // Ejection?
-            if front.dst == self.node {
-                if let Some(e) = self
-                    .ejects
-                    .iter()
-                    .position(|ej| ej.allocated_to.is_none())
-                {
-                    self.ejects[e].allocated_to =
-                        Some((PortId::from_index(p), VcId::from_index(v)));
-                    let ivc = &mut self.inputs[p][v];
-                    ivc.route = Some(RouteTarget::Eject { port: e });
-                    ivc.worm = Some(front.worm);
-                    self.counters.headers_routed += 1;
-                }
-                continue;
-            }
-            // Network routing.
-            candidates.clear();
-            let mut ctx = RouteCtx {
-                topo,
-                node: self.node,
-                flit: &front,
-                dead_out: &self.dead_out,
-                rng: &mut self.rng,
-            };
-            routing.candidates(&mut ctx, &mut candidates);
-            if candidates.is_empty() {
-                self.counters.unroutable_headers += 1;
-                continue;
-            }
-            let grant = candidates.iter().copied().find(|c: &Candidate| {
-                self.outputs[c.port.index()][c.vc.index()]
-                    .allocated_to
-                    .is_none()
-            });
-            if let Some(c) = grant {
-                self.outputs[c.port.index()][c.vc.index()].allocated_to =
-                    Some((PortId::from_index(p), VcId::from_index(v)));
-                let ivc = &mut self.inputs[p][v];
-                ivc.route = Some(RouteTarget::Link {
-                    port: c.port,
-                    vc: c.vc,
-                });
-                ivc.worm = Some(front.worm);
-                if c.escape {
-                    self.counters.escape_allocations += 1;
-                    if let Some(front) = ivc.buf.front_mut() {
-                        front.escaped = true;
-                    }
-                }
-                self.counters.headers_routed += 1;
             }
         }
         self.candidates = candidates;
         orphans_dropped
     }
 
+    /// One input VC's turn in [`Router::route_and_allocate`]. Returns
+    /// `true` once the VC needs no more routing (it is routed or
+    /// empty), `false` while its front flit still waits.
+    fn route_input(
+        &mut self,
+        i: usize,
+        routing: &dyn RoutingFunction,
+        topo: &dyn Topology,
+        is_killed: &dyn Fn(WormId) -> bool,
+        candidates: &mut Vec<Candidate>,
+        orphans_dropped: &mut usize,
+    ) -> bool {
+        if self.inputs[i].route.is_some() {
+            return true;
+        }
+        let Some(front) = self.inputs[i].buf.front(&self.slots).copied() else {
+            return true;
+        };
+        if is_killed(front.worm) {
+            // Teardown in progress: the kill token will flush this.
+            return false;
+        }
+        if !front.is_head() {
+            // A non-head flit with no route: its worm was torn down
+            // while this flit was in flight and it slipped past the
+            // killed registry. Drop defensively.
+            let buf = &mut self.inputs[i].buf;
+            let dropped = buf.pop(&mut self.slots);
+            debug_assert!(dropped.is_some_and(|f| !f.is_head()));
+            let now_empty = buf.is_empty();
+            self.occupancy -= 1;
+            *orphans_dropped += 1;
+            self.counters.orphan_flits_dropped += 1;
+            if i < self.cfg.num_node_ports * self.cfg.num_vcs {
+                self.orphan_credits.push(self.input_at(i));
+            }
+            return now_empty;
+        }
+        // Ejection?
+        if front.dst == self.node {
+            let Some(e) = self.ejects.iter().position(|ej| ej.allocated_to.is_none()) else {
+                return false;
+            };
+            self.ejects[e].allocated_to = Some(self.input_at(i));
+            let ivc = &mut self.inputs[i];
+            ivc.route = Some(RouteTarget::Eject { port: e });
+            ivc.worm = Some(front.worm);
+            self.counters.headers_routed += 1;
+            return true;
+        }
+        // Network routing.
+        candidates.clear();
+        let mut ctx = RouteCtx {
+            topo,
+            node: self.node,
+            flit: &front,
+            dead_out: &self.dead_out,
+            rng: &mut self.rng,
+        };
+        routing.candidates(&mut ctx, candidates);
+        if candidates.is_empty() {
+            self.counters.unroutable_headers += 1;
+            return false;
+        }
+        let Some(c) = candidates.iter().copied().find(|c: &Candidate| {
+            self.outputs[self.output_index(c.port, c.vc)]
+                .allocated_to
+                .is_none()
+        }) else {
+            return false;
+        };
+        let o = self.output_index(c.port, c.vc);
+        self.outputs[o].allocated_to = Some(self.input_at(i));
+        self.busy.insert(c.port.index());
+        let ivc = &mut self.inputs[i];
+        ivc.route = Some(RouteTarget::Link {
+            port: c.port,
+            vc: c.vc,
+        });
+        ivc.worm = Some(front.worm);
+        if c.escape {
+            self.counters.escape_allocations += 1;
+            if let Some(front) = ivc.buf.front_mut(&mut self.slots) {
+                front.escaped = true;
+            }
+        }
+        self.counters.headers_routed += 1;
+        true
+    }
+
     /// Switch-traversal stage: each output port and each ejection port
     /// forwards at most one flit; each input port supplies at most one.
+    /// Appends the departing flits to `out` (not cleared, so the
+    /// per-cycle network loop can reuse one buffer across all routers
+    /// and cycles); the caller moves them onto links or into receivers
+    /// and returns credits upstream.
     ///
     /// `is_killed` freezes worms undergoing teardown: their flits stop
     /// moving (and in particular their tails stop releasing channels),
@@ -554,109 +769,21 @@ impl Router {
     /// token and hands channels to new worms before the teardown has
     /// cleaned the downstream endpoint.
     ///
-    /// Returns the departing flits; the caller moves them onto links or
-    /// into receivers and returns credits upstream.
-    pub fn traverse(&mut self, now: Cycle, is_killed: &dyn Fn(WormId) -> bool) -> Vec<Traversal> {
-        let mut out = Vec::new();
-        self.traverse_into(now, is_killed, &mut out);
-        out
-    }
-
-    /// [`Router::traverse`] into a caller-owned buffer (appended, not
-    /// cleared), so the per-cycle network loop can reuse one allocation
-    /// across all routers and cycles.
+    /// Only busy neighbor ports are visited, in ascending order: an
+    /// idle port with no open streak forwards nothing and has nothing
+    /// to record.
     pub fn traverse_into(
         &mut self,
         now: Cycle,
         is_killed: &dyn Fn(WormId) -> bool,
         out: &mut Vec<Traversal>,
     ) {
-        let input_used = &mut self.input_used;
-        input_used.fill(false);
-
-        // Neighbor outputs: one flit per physical port per cycle,
-        // round-robin over that port's VCs. Alongside the forwarding
-        // decision, attribute the port's cycle for the link-stats
-        // layer: `sent` when a flit crossed, else the first
-        // ready-but-blocked VC's stall cause (if any).
-        for port in 0..self.cfg.num_node_ports {
-            let nvcs = self.cfg.num_vcs;
-            let start = (now.as_u64() as usize) % nvcs;
-            let mut sent = false;
-            let mut blocked: Option<StallCause> = None;
-            for k in 0..nvcs {
-                let vc = (start + k) % nvcs;
-                let Some((ip, iv)) = self.outputs[port][vc].allocated_to else {
-                    continue;
-                };
-                if input_used[ip.index()] || self.outputs[port][vc].credits == 0 {
-                    if blocked.is_none() {
-                        let ivc = &self.inputs[ip.index()][iv.index()];
-                        let ready = ivc
-                            .worm
-                            .is_some_and(|w| ivc.buf.front().is_some_and(|f| f.worm == w));
-                        if ready {
-                            blocked = Some(if self.outputs[port][vc].credits == 0 {
-                                StallCause::Backpressure
-                            } else {
-                                StallCause::BusyChannel
-                            });
-                        }
-                    }
-                    continue;
-                }
-                let ivc = &mut self.inputs[ip.index()][iv.index()];
-                let Some(owner) = ivc.worm else {
-                    continue;
-                };
-                // Frozen: the owner is being torn down; only its kill
-                // token may release this channel. (The front flit may
-                // even belong to a live successor worm whose tailward
-                // predecessor flits were swallowed by the killed
-                // registry — it waits here until the token clears the
-                // stale route.)
-                if is_killed(owner) {
-                    if blocked.is_none() && !ivc.buf.is_empty() {
-                        blocked = Some(StallCause::BusyChannel);
-                    }
-                    continue;
-                }
-                let Some(front) = ivc.buf.front() else {
-                    continue;
-                };
-                debug_assert_eq!(
-                    front.worm, owner,
-                    "output owner and buffered worm diverged at {}",
-                    self.node
-                );
-                if front.worm != owner {
-                    continue; // defensive in release builds
-                }
-                let Some(flit) = ivc.buf.pop() else {
-                    continue; // unreachable: front() just succeeded
-                };
-                self.occupancy -= 1;
-                ivc.last_progress = now;
-                input_used[ip.index()] = true;
-                self.outputs[port][vc].credits -= 1;
-                if flit.is_tail() {
-                    ivc.route = None;
-                    ivc.worm = None;
-                    self.outputs[port][vc].allocated_to = None;
-                }
-                self.counters.flits_forwarded += 1;
-                out.push(Traversal {
-                    flit,
-                    from_port: ip,
-                    from_vc: iv,
-                    target: RouteTarget::Link {
-                        port: PortId::from_index(port),
-                        vc: VcId::from_index(vc),
-                    },
-                });
-                sent = true;
-                break; // this physical port is used this cycle
-            }
+        self.traverse_epoch += 1;
+        let nvcs = self.cfg.num_vcs;
+        let mut from = 0;
+        while let Some(port) = self.busy.next_in(from, self.cfg.num_node_ports) {
+            from = port + 1;
+            let (sent, blocked) = self.forward_port(port, now, is_killed, out);
             Self::note_link_cycle(
                 &mut self.link_stats[port],
                 &mut self.stall_open[port],
@@ -669,6 +796,12 @@ impl Router {
                 sent,
                 blocked,
             );
+            let allocated = self.outputs[port * nvcs..(port + 1) * nvcs]
+                .iter()
+                .any(|o| o.allocated_to.is_some());
+            if !allocated && self.stall_open[port].is_none() {
+                self.busy.remove(port);
+            }
         }
 
         // Ejection ports: one flit each per cycle.
@@ -676,17 +809,18 @@ impl Router {
             let Some((ip, iv)) = self.ejects[e].allocated_to else {
                 continue;
             };
-            if input_used[ip.index()] {
+            if self.input_used[ip.index()] == self.traverse_epoch {
                 continue;
             }
-            let ivc = &mut self.inputs[ip.index()][iv.index()];
+            let i = self.input_index(ip, iv);
+            let ivc = &mut self.inputs[i];
             let Some(owner) = ivc.worm else {
                 continue;
             };
             if is_killed(owner) {
                 continue;
             }
-            let Some(front) = ivc.buf.front() else {
+            let Some(front) = ivc.buf.front(&self.slots) else {
                 continue;
             };
             debug_assert_eq!(
@@ -697,16 +831,19 @@ impl Router {
             if front.worm != owner {
                 continue; // defensive in release builds
             }
-            let Some(flit) = ivc.buf.pop() else {
+            let Some(flit) = ivc.buf.pop(&mut self.slots) else {
                 continue; // unreachable: front() just succeeded
             };
             self.occupancy -= 1;
             ivc.last_progress = now;
-            input_used[ip.index()] = true;
+            self.input_used[ip.index()] = self.traverse_epoch;
             if flit.is_tail() {
                 ivc.route = None;
                 ivc.worm = None;
                 self.ejects[e].allocated_to = None;
+                if !ivc.buf.is_empty() {
+                    self.pending.insert(i);
+                }
             }
             self.counters.flits_forwarded += 1;
             out.push(Traversal {
@@ -716,6 +853,103 @@ impl Router {
                 target: RouteTarget::Eject { port: e },
             });
         }
+    }
+
+    /// One neighbor output port's turn in [`Router::traverse_into`]:
+    /// forwards at most one flit, round-robin over the port's VCs from
+    /// `now % num_vcs`. Returns whether a flit crossed and, if not, the
+    /// first ready-but-blocked VC's stall cause (if any) for the
+    /// link-stats layer.
+    fn forward_port(
+        &mut self,
+        port: usize,
+        now: Cycle,
+        is_killed: &dyn Fn(WormId) -> bool,
+        out: &mut Vec<Traversal>,
+    ) -> (bool, Option<StallCause>) {
+        let nvcs = self.cfg.num_vcs;
+        let start = (now.as_u64() as usize) % nvcs;
+        let epoch = self.traverse_epoch;
+        let mut blocked: Option<StallCause> = None;
+        for k in 0..nvcs {
+            let vc = (start + k) % nvcs;
+            let o = port * nvcs + vc;
+            let Some((ip, iv)) = self.outputs[o].allocated_to else {
+                continue;
+            };
+            let i = self.input_index(ip, iv);
+            let credits = self.outputs[o].credits;
+            if self.input_used[ip.index()] == epoch || credits == 0 {
+                if blocked.is_none() {
+                    let ivc = &self.inputs[i];
+                    let ready = ivc
+                        .worm
+                        .is_some_and(|w| ivc.buf.front(&self.slots).is_some_and(|f| f.worm == w));
+                    if ready {
+                        blocked = Some(if credits == 0 {
+                            StallCause::Backpressure
+                        } else {
+                            StallCause::BusyChannel
+                        });
+                    }
+                }
+                continue;
+            }
+            let ivc = &mut self.inputs[i];
+            let Some(owner) = ivc.worm else {
+                continue;
+            };
+            // Frozen: the owner is being torn down; only its kill
+            // token may release this channel. (The front flit may
+            // even belong to a live successor worm whose tailward
+            // predecessor flits were swallowed by the killed
+            // registry — it waits here until the token clears the
+            // stale route.)
+            if is_killed(owner) {
+                if blocked.is_none() && !ivc.buf.is_empty() {
+                    blocked = Some(StallCause::BusyChannel);
+                }
+                continue;
+            }
+            let Some(front) = ivc.buf.front(&self.slots) else {
+                continue;
+            };
+            debug_assert_eq!(
+                front.worm, owner,
+                "output owner and buffered worm diverged at {}",
+                self.node
+            );
+            if front.worm != owner {
+                continue; // defensive in release builds
+            }
+            let Some(flit) = ivc.buf.pop(&mut self.slots) else {
+                continue; // unreachable: front() just succeeded
+            };
+            self.occupancy -= 1;
+            ivc.last_progress = now;
+            self.input_used[ip.index()] = epoch;
+            self.outputs[o].credits -= 1;
+            if flit.is_tail() {
+                ivc.route = None;
+                ivc.worm = None;
+                self.outputs[o].allocated_to = None;
+                if !ivc.buf.is_empty() {
+                    self.pending.insert(i);
+                }
+            }
+            self.counters.flits_forwarded += 1;
+            out.push(Traversal {
+                flit,
+                from_port: ip,
+                from_vc: iv,
+                target: RouteTarget::Link {
+                    port: PortId::from_index(port),
+                    vc: VcId::from_index(vc),
+                },
+            });
+            return (true, blocked); // this physical port is used this cycle
+        }
+        (false, blocked)
     }
 
     /// Folds one cycle's outcome for a neighbor output port into its
@@ -817,7 +1051,8 @@ impl Router {
     /// Panics if credits would exceed the downstream buffer depth
     /// (double-return bug).
     pub fn add_credit(&mut self, port: PortId, vc: VcId) {
-        let o = &mut self.outputs[port.index()][vc.index()];
+        let o = self.output_index(port, vc);
+        let o = &mut self.outputs[o];
         assert!(
             o.credits < self.cfg.buffer_depth + self.cfg.link_depth,
             "credit overflow on {} {port} {vc}",
@@ -834,8 +1069,9 @@ impl Router {
     /// next router and repeats, and returns `flushed` credits to the
     /// upstream router.
     pub fn flush_worm(&mut self, port: PortId, vc: VcId, worm: WormId) -> FlushResult {
-        let ivc = &mut self.inputs[port.index()][vc.index()];
-        let flushed = ivc.buf.retain(|f| f.worm != worm);
+        let i = self.input_index(port, vc);
+        let ivc = &mut self.inputs[i];
+        let flushed = ivc.buf.retain(&mut self.slots, |f| f.worm != worm);
         self.occupancy -= flushed;
         self.counters.flits_flushed += flushed as u64;
         let mut released = None;
@@ -844,7 +1080,8 @@ impl Router {
             ivc.worm = None;
             match released {
                 Some(RouteTarget::Link { port: op, vc: ov }) => {
-                    self.outputs[op.index()][ov.index()].allocated_to = None;
+                    let o = op.index() * self.cfg.num_vcs + ov.index();
+                    self.outputs[o].allocated_to = None;
                 }
                 Some(RouteTarget::Eject { port: ep }) => {
                     self.ejects[ep].allocated_to = None;
@@ -852,51 +1089,58 @@ impl Router {
                 None => {}
             }
         }
+        if ivc.route.is_none() && !ivc.buf.is_empty() {
+            self.pending.insert(i);
+        }
         FlushResult { flushed, released }
     }
 
     /// The route target currently allocated to input VC `(port, vc)`,
     /// if any.
     pub fn route_of(&self, port: PortId, vc: VcId) -> Option<RouteTarget> {
-        self.inputs[port.index()][vc.index()].route
+        self.inputs[self.input_index(port, vc)].route
     }
 
     /// The worm currently owning input VC `(port, vc)`, if any.
     pub fn worm_of(&self, port: PortId, vc: VcId) -> Option<WormId> {
-        self.inputs[port.index()][vc.index()].worm
+        self.inputs[self.input_index(port, vc)].worm
     }
 
     /// Which input VC holds output `(port, vc)`, if any.
     pub fn output_owner(&self, port: PortId, vc: VcId) -> Option<(PortId, VcId)> {
-        self.outputs[port.index()][vc.index()].allocated_to
+        self.outputs[self.output_index(port, vc)].allocated_to
     }
 
     /// Current credit count of output `(port, vc)`.
     pub fn credits(&self, port: PortId, vc: VcId) -> usize {
-        self.outputs[port.index()][vc.index()].credits
+        self.outputs[self.output_index(port, vc)].credits
     }
 
     /// Returns `true` if input VC `(port, vc)` has no free buffer
     /// slot (the arriving flit must wait in the channel latches).
     pub fn vc_is_full(&self, port: PortId, vc: VcId) -> bool {
-        self.inputs[port.index()][vc.index()].buf.is_full()
+        self.inputs[self.input_index(port, vc)].buf.is_full()
     }
 
     /// Number of flits buffered in input VC `(port, vc)`.
     pub fn occupancy(&self, port: PortId, vc: VcId) -> usize {
-        self.inputs[port.index()][vc.index()].buf.len()
+        self.inputs[self.input_index(port, vc)].buf.len()
     }
 
     /// The head-of-line flit of input VC `(port, vc)`, if any.
     pub fn front_flit(&self, port: PortId, vc: VcId) -> Option<&Flit> {
-        self.inputs[port.index()][vc.index()].buf.front()
+        self.inputs[self.input_index(port, vc)]
+            .buf
+            .front(&self.slots)
     }
 
     /// The flit at queue position `i` (0 = front) of input VC
     /// `(port, vc)`, or `None` past the back. The model checker walks
     /// whole buffers with this when encoding a canonical state.
     pub fn flit_at(&self, port: PortId, vc: VcId, i: usize) -> Option<&Flit> {
-        self.inputs[port.index()][vc.index()].buf.get(i)
+        self.inputs[self.input_index(port, vc)]
+            .buf
+            .get(&self.slots, i)
     }
 
     /// Which input VC holds ejection port `e`, if any.
@@ -917,12 +1161,18 @@ impl Router {
     pub fn total_occupancy(&self) -> usize {
         debug_assert_eq!(
             self.occupancy,
+            self.inputs.iter().map(|ivc| ivc.buf.len()).sum::<usize>(),
+            "incremental occupancy diverged at {}",
+            self.node
+        );
+        debug_assert!(
             self.inputs
                 .iter()
-                .flatten()
-                .map(|ivc| ivc.buf.len())
-                .sum::<usize>(),
-            "incremental occupancy diverged at {}",
+                .enumerate()
+                .all(|(i, ivc)| ivc.route.is_some()
+                    || ivc.buf.is_empty()
+                    || self.pending.contains(i)),
+            "a non-empty unrouted input VC is missing from the pending set at {}",
             self.node
         );
         self.occupancy
@@ -939,39 +1189,42 @@ impl Router {
             "incremental open-streak count diverged at {}",
             self.node
         );
+        debug_assert!(
+            (0..self.cfg.num_node_ports).all(|p| {
+                let nvcs = self.cfg.num_vcs;
+                let allocated = self.outputs[p * nvcs..(p + 1) * nvcs]
+                    .iter()
+                    .any(|o| o.allocated_to.is_some());
+                !(allocated || self.stall_open[p].is_some()) || self.busy.contains(p)
+            }),
+            "an allocated or stalled output port is missing from the busy set at {}",
+            self.node
+        );
         self.open_streaks > 0
     }
 
     /// Input VCs that hold a worm but have not forwarded a flit for at
     /// least `threshold` cycles — the path-wide stall detector of the
-    /// alternative kill scheme the paper compares against.
-    pub fn stalled_worms(&self, now: Cycle, threshold: u64) -> Vec<(PortId, VcId, WormId)> {
-        let mut out = Vec::new();
-        self.stalled_worms_into(now, threshold, &mut out);
-        out
-    }
-
-    /// [`Router::stalled_worms`] into a caller-owned buffer (appended,
-    /// not cleared) — the path-wide detector polls every router every
-    /// cycle and reuses one list.
+    /// alternative kill scheme the paper compares against. Appends to
+    /// `out` (not cleared): the detector polls every router every cycle
+    /// and reuses one list.
     pub fn stalled_worms_into(
         &self,
         now: Cycle,
         threshold: u64,
         out: &mut Vec<(PortId, VcId, WormId)>,
     ) {
-        for (p, vcs) in self.inputs.iter().enumerate() {
-            for (v, ivc) in vcs.iter().enumerate() {
-                if ivc.buf.is_empty() {
-                    continue;
-                }
-                let worm = match ivc.worm.or_else(|| ivc.buf.front().map(|f| f.worm)) {
-                    Some(w) => w,
-                    None => continue,
-                };
-                if now.saturating_since(ivc.last_progress) >= threshold {
-                    out.push((PortId::from_index(p), VcId::from_index(v), worm));
-                }
+        if self.occupancy == 0 {
+            return;
+        }
+        for (i, ivc) in self.inputs.iter().enumerate() {
+            let Some(front) = ivc.buf.front(&self.slots) else {
+                continue;
+            };
+            let worm = ivc.worm.unwrap_or(front.worm);
+            if now.saturating_since(ivc.last_progress) >= threshold {
+                let (port, vc) = self.input_at(i);
+                out.push((port, vc, worm));
             }
         }
     }
@@ -1020,6 +1273,19 @@ mod tests {
         .collect()
     }
 
+    /// One traversal cycle into a fresh buffer.
+    fn traversed(r: &mut Router, now: Cycle) -> Vec<Traversal> {
+        let mut out = Vec::new();
+        r.traverse_into(now, &|_| false, &mut out);
+        out
+    }
+
+    fn stalled(r: &Router, now: Cycle, threshold: u64) -> Vec<(PortId, VcId, WormId)> {
+        let mut out = Vec::new();
+        r.stalled_worms_into(now, threshold, &mut out);
+        out
+    }
+
     #[test]
     fn header_gets_routed_and_flits_flow() {
         let topo = KAryNCube::torus(4, 1);
@@ -1032,7 +1298,7 @@ mod tests {
         r.accept(now, PortId::new(1), VcId::new(0), flits[0]);
         r.route_and_allocate(now, &rf, &topo, &|_| false);
         assert!(r.route_of(PortId::new(1), VcId::new(0)).is_some());
-        let t = r.traverse(now, &|_| false);
+        let t = traversed(&mut r, now);
         assert_eq!(t.len(), 1);
         assert!(t[0].flit.is_head());
         match t[0].target {
@@ -1042,13 +1308,13 @@ mod tests {
         // Body and tail follow without re-routing.
         r.accept(now, PortId::new(1), VcId::new(0), flits[1]);
         r.accept(now, PortId::new(1), VcId::new(0), flits[2]);
-        let t = r.traverse(now + 1, &|_| false);
+        let t = traversed(&mut r, now + 1);
         assert_eq!(t.len(), 1);
         assert!(!t[0].flit.is_head());
         // Two credits are spent; the downstream router must free a slot
         // before the tail can move.
         r.add_credit(PortId::new(0), VcId::new(0));
-        let t = r.traverse(now + 2, &|_| false);
+        let t = traversed(&mut r, now + 2);
         assert_eq!(t.len(), 1);
         assert!(t[0].flit.is_tail());
         // Tail released the channel.
@@ -1070,10 +1336,10 @@ mod tests {
             r.route_of(PortId::new(1), VcId::new(0)),
             Some(RouteTarget::Eject { port: 0 })
         );
-        let t = r.traverse(now, &|_| false);
+        let t = traversed(&mut r, now);
         assert_eq!(t.len(), 1);
         assert!(matches!(t[0].target, RouteTarget::Eject { port: 0 }));
-        let t = r.traverse(now + 1, &|_| false);
+        let t = traversed(&mut r, now + 1);
         assert!(t[0].flit.is_tail());
         // Eject port released.
         r.accept(now + 2, PortId::new(0), VcId::new(0), worm(1, 2, 2, 2)[0]);
@@ -1095,15 +1361,15 @@ mod tests {
         }
         r.route_and_allocate(now, &rf, &topo, &|_| false);
         // Drain the 2 credits.
-        assert_eq!(r.traverse(now, &|_| false).len(), 1);
-        assert_eq!(r.traverse(now + 1, &|_| false).len(), 1);
+        assert_eq!(traversed(&mut r, now).len(), 1);
+        assert_eq!(traversed(&mut r, now + 1).len(), 1);
         assert_eq!(r.credits(PortId::new(0), VcId::new(0)), 0);
         // More flits buffered but no credits: stall.
         r.accept(now + 2, PortId::new(1), VcId::new(0), flits[2]);
-        assert!(r.traverse(now + 2, &|_| false).is_empty());
+        assert!(traversed(&mut r, now + 2).is_empty());
         // Credit return unblocks.
         r.add_credit(PortId::new(0), VcId::new(0));
-        assert_eq!(r.traverse(now + 3, &|_| false).len(), 1);
+        assert_eq!(traversed(&mut r, now + 3).len(), 1);
     }
 
     #[test]
@@ -1130,8 +1396,8 @@ mod tests {
         assert!(r.route_of(PortId::new(1), VcId::new(1)).is_some());
         // ...but only one flit crosses per cycle (also input-port
         // bandwidth: both share input port 1).
-        assert_eq!(r.traverse(now, &|_| false).len(), 1);
-        assert_eq!(r.traverse(now + 1, &|_| false).len(), 1);
+        assert_eq!(traversed(&mut r, now).len(), 1);
+        assert_eq!(traversed(&mut r, now + 1).len(), 1);
     }
 
     #[test]
@@ -1196,13 +1462,16 @@ mod tests {
         r.accept(Cycle::ZERO, PortId::new(1), VcId::new(0), flits[0]);
         r.route_and_allocate(Cycle::ZERO, &rf, &topo, &|_| false);
         // Drain credits so the worm jams.
-        let _ = r.traverse(Cycle::ZERO, &|_| false);
+        let _ = traversed(&mut r, Cycle::ZERO);
         r.accept(Cycle::new(1), PortId::new(1), VcId::new(0), flits[1]);
-        let _ = r.traverse(Cycle::new(1), &|_| false);
+        let _ = traversed(&mut r, Cycle::new(1));
         r.accept(Cycle::new(2), PortId::new(1), VcId::new(0), flits[2]);
-        assert!(r.traverse(Cycle::new(2), &|_| false).is_empty(), "out of credits");
-        assert!(r.stalled_worms(Cycle::new(10), 20).is_empty());
-        let stalled = r.stalled_worms(Cycle::new(40), 20);
+        assert!(
+            traversed(&mut r, Cycle::new(2)).is_empty(),
+            "out of credits"
+        );
+        assert!(stalled(&r, Cycle::new(10), 20).is_empty());
+        let stalled = stalled(&r, Cycle::new(40), 20);
         assert_eq!(stalled.len(), 1);
         assert_eq!(stalled[0].2, flits[0].worm);
     }
@@ -1240,11 +1509,11 @@ mod tests {
         r.route_and_allocate(now, &rf, &topo, &|_| false);
         // Two forwards drain the credits; later cycles stall on
         // backpressure with a flit still buffered.
-        assert_eq!(r.traverse(now, &|_| false).len(), 1);
-        assert_eq!(r.traverse(now + 1, &|_| false).len(), 1);
+        assert_eq!(traversed(&mut r, now).len(), 1);
+        assert_eq!(traversed(&mut r, now + 1).len(), 1);
         r.accept(now + 2, PortId::new(1), VcId::new(0), flits[2]);
-        assert!(r.traverse(now + 2, &|_| false).is_empty());
-        assert!(r.traverse(now + 3, &|_| false).is_empty());
+        assert!(traversed(&mut r, now + 2).is_empty());
+        assert!(traversed(&mut r, now + 3).is_empty());
         let s = r.link_stats()[0];
         assert_eq!(s.flits_forwarded, 2);
         assert_eq!(s.stall_backpressure, 2);
@@ -1276,7 +1545,7 @@ mod tests {
         r.route_and_allocate(now, &rf, &topo, &|_| false);
         assert!(r.route_of(PortId::new(1), VcId::new(0)).is_some());
         assert!(r.route_of(PortId::new(1), VcId::new(1)).is_some());
-        assert_eq!(r.traverse(now, &|_| false).len(), 1);
+        assert_eq!(traversed(&mut r, now).len(), 1);
         let stats = r.link_stats();
         assert_eq!(
             stats[0].flits_forwarded + stats[1].flits_forwarded,
@@ -1301,12 +1570,12 @@ mod tests {
             r.accept(now, PortId::new(1), VcId::new(0), *f);
         }
         r.route_and_allocate(now, &rf, &topo, &|_| false);
-        assert_eq!(r.traverse(now, &|_| false).len(), 1);
-        assert_eq!(r.traverse(now + 1, &|_| false).len(), 1);
+        assert_eq!(traversed(&mut r, now).len(), 1);
+        assert_eq!(traversed(&mut r, now + 1).len(), 1);
         // The link dies mid-worm: the credit stall is re-attributed.
         r.set_dead_out(PortId::new(0));
         r.accept(now + 2, PortId::new(1), VcId::new(0), flits[2]);
-        assert!(r.traverse(now + 2, &|_| false).is_empty());
+        assert!(traversed(&mut r, now + 2).is_empty());
         let s = r.link_stats()[0];
         assert_eq!(s.stall_dead_link, 1);
         assert_eq!(s.stall_backpressure, 0);
@@ -1324,15 +1593,15 @@ mod tests {
             r.accept(now, PortId::new(1), VcId::new(0), *f);
         }
         r.route_and_allocate(now, &rf, &topo, &|_| false);
-        assert_eq!(r.traverse(now, &|_| false).len(), 1);
-        assert_eq!(r.traverse(now + 1, &|_| false).len(), 1);
+        assert_eq!(traversed(&mut r, now).len(), 1);
+        assert_eq!(traversed(&mut r, now + 1).len(), 1);
         // Two stalled cycles with recording off leave nothing behind.
         r.accept(now + 2, PortId::new(1), VcId::new(0), flits[2]);
-        assert!(r.traverse(now + 2, &|_| false).is_empty());
-        assert!(r.traverse(now + 3, &|_| false).is_empty());
+        assert!(traversed(&mut r, now + 2).is_empty());
+        assert!(traversed(&mut r, now + 3).is_empty());
         let mut streaks = Vec::new();
         r.add_credit(PortId::new(0), VcId::new(0));
-        assert_eq!(r.traverse(now + 4, &|_| false).len(), 1);
+        assert_eq!(traversed(&mut r, now + 4).len(), 1);
         r.drain_streaks_into(&mut streaks);
         assert!(streaks.is_empty(), "recording was off");
         // Again with recording on: stall twice, then forward to close
@@ -1340,10 +1609,10 @@ mod tests {
         r.set_record_streaks(true);
         r.accept(now + 5, PortId::new(1), VcId::new(0), flits[3]);
         r.accept(now + 5, PortId::new(1), VcId::new(0), flits[4]);
-        assert!(r.traverse(now + 5, &|_| false).is_empty());
-        assert!(r.traverse(now + 6, &|_| false).is_empty());
+        assert!(traversed(&mut r, now + 5).is_empty());
+        assert!(traversed(&mut r, now + 6).is_empty());
         r.add_credit(PortId::new(0), VcId::new(0));
-        assert_eq!(r.traverse(now + 7, &|_| false).len(), 1);
+        assert_eq!(traversed(&mut r, now + 7).len(), 1);
         r.drain_streaks_into(&mut streaks);
         assert_eq!(streaks.len(), 1);
         assert_eq!(streaks[0].port, PortId::new(0));

@@ -59,6 +59,7 @@ fn router_never_leaks_allocations() {
         let mut r = Router::new(NodeId::new(0), cfg, SimRng::from_seed(1));
         let rf = MinimalAdaptive::new(s.num_vcs);
         let mut now = Cycle::ZERO;
+        let mut out = Vec::new();
 
         for (i, &(in_port, dst, len, kill_after)) in s.worms.iter().enumerate() {
             let worm = WormId::new(MessageId::new(i as u64), 0);
@@ -83,7 +84,8 @@ fn router_never_leaks_allocations() {
                     sent += 1;
                 }
                 r.route_and_allocate(now, &rf, &topo, &|_| false);
-                let out = r.traverse(now, &|_| false);
+                out.clear();
+                r.traverse_into(now, &|_| false, &mut out);
                 // Return credits instantly (ideal downstream).
                 for t in &out {
                     if let RouteTarget::Link { port, vc } = t.target {
@@ -105,7 +107,8 @@ fn router_never_leaks_allocations() {
                     break;
                 }
                 r.route_and_allocate(now, &rf, &topo, &|_| false);
-                let out = r.traverse(now, &|_| false);
+                out.clear();
+                r.traverse_into(now, &|_| false, &mut out);
                 for t in &out {
                     if let RouteTarget::Link { port, vc } = t.target {
                         r.add_credit(port, vc);

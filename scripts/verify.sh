@@ -140,6 +140,22 @@ fi
 ./target/release/trace_check "$tmpdir/fig11_trace.jsonl"
 echo "verify: fig11 output unchanged by --trace; trace dump validated"
 
+# The repository benchmark (perfbench/, its own Cargo package): its
+# tests, then one untimed pass of every workload on golden seed 0. The
+# gate is on output digests only ("correct":true): fault_churn's failed
+# FCR storms are a documented known failure and are not gated here.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+for workload in paper_sweep burst_drain burst_drain_sh2 fault_churn; do
+    result="$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 0 --seconds 0 --trace 0 2> /dev/null | tail -n 1)"
+    if ! grep -q '"correct":true' <<< "$result"; then
+        echo "verify: FAIL — perfbench $workload seed 0 digests differ from golden" >&2
+        echo "$result" | head -c 400 >&2
+        exit 1
+    fi
+done
+echo "verify: perfbench tests pass; every workload matches its golden digests"
+
 # Bench smoke: regenerate BENCH_sweep.json cheaply and check its
 # schema (group/meta/benchmarks with the documented fields).
 CR_BENCH_SAMPLES=3 cargo bench --offline -p cr-bench --bench sweep > /dev/null
