@@ -281,8 +281,8 @@ impl ProtocolStep for CheckNet {
         self.net.faults_mut().kill_link(link);
         let li = self.net.link_by_id[link.index()] as usize;
         assert_ne!(li, u32::MAX as usize, "unknown link id");
-        let (dst, dst_port) = self.net.link_head[li];
-        if let Some((src, src_port)) = self.net.in_upstream[dst][dst_port.index()] {
+        let (dst, dst_port) = self.net.wiring.link_head[li];
+        if let Some((src, src_port)) = self.net.wiring.in_upstream[dst][dst_port.index()] {
             self.net.routers[src].set_dead_out(src_port);
         }
     }
@@ -291,8 +291,8 @@ impl ProtocolStep for CheckNet {
         self.net.faults_mut().revive_link(link);
         let li = self.net.link_by_id[link.index()] as usize;
         assert_ne!(li, u32::MAX as usize, "unknown link id");
-        let (dst, dst_port) = self.net.link_head[li];
-        if let Some((src, src_port)) = self.net.in_upstream[dst][dst_port.index()] {
+        let (dst, dst_port) = self.net.wiring.link_head[li];
+        if let Some((src, src_port)) = self.net.wiring.in_upstream[dst][dst_port.index()] {
             self.net.routers[src].clear_dead_out(src_port);
             self.net.arm_router(src);
         }
@@ -310,7 +310,7 @@ impl ProtocolStep for CheckNet {
     fn encode_state(&self, out: &mut Vec<u8>) {
         let net = &self.net;
         let now = net.now;
-        let num_vcs = net.routing.num_vcs();
+        let num_vcs = net.wiring.routing.num_vcs();
 
         let put_flit = |out: &mut Vec<u8>, f: &Flit| {
             put_key(out, self.label(f.worm.message));
@@ -465,7 +465,7 @@ impl ProtocolStep for CheckNet {
         }
 
         // --- fault model ----------------------------------------------------
-        for &id in net.link_ids.iter() {
+        for &id in net.wiring.link_ids.iter() {
             out.push(u8::from(net.faults.is_dead(id)));
         }
         put_u64(out, net.fault_rng.words_consumed());
@@ -473,7 +473,7 @@ impl ProtocolStep for CheckNet {
 
     fn check_invariants(&self) -> Result<(), String> {
         let net = &self.net;
-        let num_vcs = net.routing.num_vcs();
+        let num_vcs = net.wiring.routing.num_vcs();
         let depth = net.cfg.buffer_depth + net.cfg.channel_latency as usize;
 
         // Credit conservation: for every link and VC, upstream credits
@@ -481,8 +481,8 @@ impl ProtocolStep for CheckNet {
         // the fixed buffering budget. A leak (sum below budget) bleeds
         // capacity forever; a surplus would overflow buffers.
         for li in 0..net.links.len() {
-            let (dst, dst_port) = net.link_head[li];
-            let Some((src, src_port)) = net.in_upstream[dst][dst_port.index()] else {
+            let (dst, dst_port) = net.wiring.link_head[li];
+            let Some((src, src_port)) = net.wiring.in_upstream[dst][dst_port.index()] else {
                 continue;
             };
             let pi = net.link_perm[li] as usize;

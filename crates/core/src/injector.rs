@@ -415,13 +415,6 @@ impl Injector {
         false
     }
 
-    /// Debug introspection: (flits pushed, i_min) for the current worm.
-    pub fn debug_progress(&self, worm: WormId) -> Option<(u32, usize)> {
-        self.current.as_ref().and_then(|c| {
-            (c.worm == worm).then_some((c.next, c.msg.i_min))
-        })
-    }
-
     /// Called by the network when the receiver confirms delivery of
     /// `message` (simulation bookkeeping; the protocol itself needs no
     /// acknowledgement).

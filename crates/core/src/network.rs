@@ -3,36 +3,35 @@
 //!
 //! # Cycle phases
 //!
-//! 1. **Arrivals** — flits finish their link traversal: fault
+//! 1. **Churn** — scheduled link kills and revivals fire.
+//! 2. **Arrivals** — flits finish their link traversal: fault
 //!    injection, killed-worm filtering, FCR corruption detection, then
 //!    acceptance into the downstream input VC.
-//! 2. **Kill tokens** — forward teardown tokens walk one hop toward
+//! 3. **Kill tokens** — forward teardown tokens walk one hop toward
 //!    the destination, backward tokens one hop toward the source, each
 //!    flushing buffers, releasing channels and restoring credits.
-//! 3. **Path-wide detection** (optional) — routers kill locally
+//! 4. **Path-wide detection** (optional) — routers kill locally
 //!    stalled worms (the paper's inferior alternative to source
 //!    timeouts).
-//! 4. **Traffic generation** — Bernoulli sources enqueue messages.
-//! 5. **Injection** — injectors push flits, watch stalls, and request
-//!    source-timeout kills.
-//! 6. **Routing/allocation** then **switch traversal** for every
+//! 5. **Traffic generation** — Bernoulli sources enqueue messages.
+//! 6. **Injection** — injectors push flits, watch stalls, and kill
+//!    their own worms on a source timeout.
+//! 7. **Routing/allocation** then **switch traversal** for every
 //!    router; departing flits enter link pipelines or receivers, and
-//!    credits return upstream.
-//! 7. Bookkeeping: registry pruning and the deadlock watchdog.
+//!    credits return upstream at the end of the phase.
+//! 8. Bookkeeping: registry pruning and the deadlock watchdog.
 //!
-//! # Active-set scheduling
+//! # One kernel, three schedules
 //!
-//! By default the stepper is *sparse*: each phase walks only the
-//! components that can possibly do work this cycle, tracked in
-//! generation-stamped [`ActiveSet`]s (links with buffered flits,
-//! routers with occupancy or an open stall streak, injectors with a
-//! worm in hand or a queue), and the run loops *fast-forward* across
-//! stretches of cycles in which every phase is provably a no-op. The
-//! results are byte-identical to the dense reference stepper (every
-//! phase visits the active components in the same ascending order the
-//! dense sweep uses, and skipped components/cycles are proven
-//! side-effect-free — see DESIGN.md §10); the dense sweep stays
-//! reachable via [`Network::set_reference_stepper`].
+//! Arrivals, injection, routing and traversal each have one body,
+//! written against one shard's state, in the kernel module
+//! (`network_sharded.rs`); the other phases are serial code on this
+//! type. The three steppers — **serial active** (the default: only the
+//! components in the [`ActiveSet`]s, plus cycle fast-forward), **dense
+//! reference** ([`Network::set_reference_stepper`]: every component,
+//! no fast-forward) and **sharded** (`shards > 1`: the active bodies
+//! fanned out on a worker team) — are schedules of those bodies and
+//! are byte-identical (DESIGN.md §10, §12).
 
 use crate::config::NetworkConfig;
 use crate::injector::{Injector, PendingMessage};
@@ -42,8 +41,7 @@ use crate::report::{ChurnEventReport, ChurnSummary, NetCounters, SimReport, Trac
 use cr_faults::{ChurnFiring, FaultModel};
 use cr_metrics::{LatencyRecorder, ThroughputMeter};
 use cr_router::{
-    Flit, LinkStallStreak, LinkStats, PortKind, RouteTarget, Router, RouterConfig,
-    RoutingFunction, Traversal, WormId,
+    Flit, LinkStats, PortKind, RouteTarget, Router, RouterConfig, RoutingFunction, WormId,
 };
 use cr_sim::sched::ActiveSet;
 use cr_sim::shard::Sharded;
@@ -110,43 +108,53 @@ struct ChurnTracker {
     drained_at: Option<Cycle>,
 }
 
+/// The tables fixed at assembly that the phase bodies read: the
+/// topology, the routing function and the link wiring.
+struct Wiring {
+    topo: Box<dyn Topology>,
+    routing: Box<dyn RoutingFunction>,
+    /// `out_link[node][port]` = link index leaving that port.
+    out_link: Vec<Vec<Option<usize>>>,
+    /// `link_head[link]` = (dst node, dst input port).
+    link_head: Vec<(usize, PortId)>,
+    /// `link_ids[link]` = the topology's `LinkId` (fault-model key).
+    link_ids: Vec<cr_sim::LinkId>,
+    /// `in_upstream[node][in_port]` = (upstream node, upstream output
+    /// port).
+    in_upstream: Vec<Vec<Option<(usize, PortId)>>>,
+    /// `link_orig[permuted]` = original link index (see
+    /// `Network::link_perm`).
+    link_orig: Vec<u32>,
+}
+
 /// A complete simulated network. Build one with
 /// [`NetworkBuilder`](crate::NetworkBuilder).
 pub struct Network {
-    // Shared read-only tables (and the serially-mutated killed/faults
-    // registries) sit behind `Arc` so the sharded stepper can hand
-    // clones to the persistent worker team's 'static tasks. The
-    // mutable registries are only written through `killed_mut` /
-    // `faults_mut`, which assert the task clones are gone.
-    topo: Arc<dyn Topology>,
+    // The wiring (and the serially-mutated killed/faults registries)
+    // sit behind `Arc` so the sharded stepper can hand clones to the
+    // persistent worker team's 'static tasks. The mutable registries
+    // are only written through `killed_mut` / `faults_mut`, which
+    // assert the task clones are gone.
+    wiring: Arc<Wiring>,
     cfg: NetworkConfig,
-    routing: Arc<dyn RoutingFunction>,
     faults: Arc<FaultModel>,
     timeout: u64,
 
     // Per-component mutable state is stored in per-shard chunks
     // ([`Sharded`]) so a shard task can take its chunk by value, work
     // on it on a team worker, and hand it back — no borrows cross the
-    // thread boundary. Indexing is flat (single-chunk fast path keeps
-    // the serial steppers unchanged).
+    // thread boundary. Serial code indexes it flat; the phase bodies
+    // borrow one chunk at a time.
     routers: Sharded<Router>,
     injectors: Sharded<Vec<Injector>>,
     receivers: Sharded<Receiver>,
     sources: Vec<TrafficSource>,
 
     links: Sharded<LinkState>,
-    /// `out_link[node][port]` = link index leaving that port.
-    out_link: Arc<Vec<Vec<Option<usize>>>>,
-    /// `link_head[link]` = (dst node, dst input port).
-    link_head: Arc<Vec<(usize, PortId)>>,
-    /// `link_ids[link]` = the topology's `LinkId` (fault-model key).
-    link_ids: Arc<Vec<cr_sim::LinkId>>,
-    /// Inverse of `link_ids`: `link_by_id[id.index()]` = original link
-    /// index (`u32::MAX` for ids the topology never handed out).
+    /// Inverse of `wiring.link_ids`: `link_by_id[id.index()]` =
+    /// original link index (`u32::MAX` for ids the topology never
+    /// handed out).
     link_by_id: Vec<u32>,
-    /// `in_upstream[node][in_port]` = (upstream node, upstream output
-    /// port).
-    in_upstream: Arc<Vec<Vec<Option<(usize, PortId)>>>>,
 
     /// Post-warmup flits carried per link (channel-utilization
     /// statistics).
@@ -171,13 +179,8 @@ pub struct Network {
     /// dense n² table is 32 GiB at 65 536 nodes.
     seq_counters: BTreeMap<(NodeId, NodeId), u64>,
     next_message_id: u64,
-    /// Per-cycle switch-traversal output, reused across cycles.
-    traversal_scratch: Vec<Traversal>,
     /// Per-cycle path-wide stall list, reused across cycles.
     stall_scratch: Vec<(PortId, VcId, WormId)>,
-    /// Per-cycle finished-stall-streak list, reused across cycles
-    /// (only touched while tracing).
-    streak_scratch: Vec<LinkStallStreak>,
     /// Structured protocol-event sink ([`cr_sim::trace`]); the
     /// disabled variant unless the builder enables tracing.
     trace: TraceSink,
@@ -195,11 +198,11 @@ pub struct Network {
 
     // --- active-set scheduler state (DESIGN.md §10) ---
     //
-    // The sets are maintained by the shared mutation helpers whichever
-    // stepper is running, so they are always a superset of the truly
-    // active components; only the active phases drain them and drop
-    // the stale members. That keeps a dense->active switch mid-run
-    // legal.
+    // The sets are maintained by the shared mutation helpers and the
+    // phase bodies whichever schedule is running, so they are always a
+    // superset of the truly active components; only the active
+    // schedules drain them and drop the stale members. That keeps a
+    // dense->active switch mid-run legal.
     /// Routers with buffered flits or an open stall streak, one set
     /// per shard (global node ids; shard ownership is fixed by
     /// `node_shard`). With one shard this is the PR-5 scheduler state
@@ -219,7 +222,8 @@ pub struct Network {
     /// (harmless: the link is rescanned and the wake recomputed) but
     /// never stale-late, because pops only raise the true minimum.
     link_wake: Sharded<Cycle>,
-    /// Drained-set scratch shared by the active phases (sequential).
+    /// Visit-list scratch of the serial arrivals walk and path-wide
+    /// detection.
     ids_scratch: Vec<u32>,
     /// Flits in routers + links, maintained incrementally; the O(1)
     /// backing of [`Network::flits_in_flight`].
@@ -230,10 +234,6 @@ pub struct Network {
     /// `true` = run the dense reference stepper (every phase sweeps
     /// every component, no fast-forward).
     reference_stepper: bool,
-    /// `true` = take the sharded stepper even for a single-shard plan
-    /// (equivalence tests use this to drive the persistent team and
-    /// its barriers at `shards = 1`).
-    force_sharded: bool,
 
     // --- spatial sharding state (DESIGN.md §12) ---
     /// Contiguous node-id partition of the fabric; serial (one shard)
@@ -247,27 +247,20 @@ pub struct Network {
     /// mutate), ascending original index within each shard, so each
     /// shard's links form one contiguous slice. Identity when serial.
     link_perm: Vec<u32>,
-    /// Inverse of `link_perm`: permuted index -> original link index.
-    link_orig: Arc<Vec<u32>>,
     /// Permuted-index range of shard `s`: `link_bounds[s] ..
     /// link_bounds[s + 1]`.
     link_bounds: Vec<usize>,
     /// `link_shard[permuted]` = owning shard.
     link_shard: Vec<u16>,
-    /// Per-shard mutation buffers for the parallel phases, drained at
+    /// Per-shard mutation buffers of the phase bodies, drained at
     /// each phase barrier in shard order.
     shard_scratch: Vec<sharded::ShardScratch>,
-    /// Switch-traversal credit returns resolved to (upstream node,
-    /// upstream output port, vc), buffered during the traverse
-    /// sub-stage and applied at its end — one cycle of credit-return
-    /// latency, identical in the serial and sharded steppers.
-    credit_scratch: Vec<(u32, PortId, VcId)>,
     /// Worker-thread override for the sharded stepper (tests force >1
     /// on single-core machines); `None` = available parallelism.
     shard_threads: Option<usize>,
-    /// Persistent worker team for the sharded stepper, spawned lazily
-    /// at the first sharded step and reused for every fan-out
-    /// thereafter (DESIGN.md §12). `None` until then, and reset by
+    /// Persistent worker team for the sharded stepper, spawned (and its
+    /// width resolved) at the first fan-out and reused for every
+    /// fan-out thereafter (DESIGN.md §12). `None` until then, and reset by
     /// [`Network::set_shard_threads`]. Shut down (workers joined)
     /// ahead of the shard state by [`Network`]'s `Drop`.
     team: Option<cr_sim::pool::Team>,
@@ -293,8 +286,8 @@ pub struct Network {
 impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
-            .field("topology", &self.topo.label())
-            .field("routing", &self.routing.name())
+            .field("topology", &self.wiring.topo.label())
+            .field("routing", &self.wiring.routing.name())
             .field("protocol", &self.cfg.protocol)
             .field("now", &self.now)
             .finish_non_exhaustive()
@@ -315,8 +308,6 @@ impl Network {
         shards: usize,
     ) -> Self {
         cfg.validate();
-        let topo: Arc<dyn Topology> = Arc::from(topo);
-        let routing: Arc<dyn RoutingFunction> = Arc::from(routing);
         let n = topo.num_nodes();
         let plan = cr_sim::shard::Plan::from_hint(topo.partition_hint(shards), n, shards);
         let node_shard = plan.owner_table();
@@ -490,22 +481,17 @@ impl Network {
             live_flits: 0,
             undrained_injectors: 0,
             reference_stepper: false,
-            force_sharded: false,
             shard_scratch: (0..num_shards)
                 .map(|_| sharded::ShardScratch::default())
                 .collect(),
-            credit_scratch: Vec::new(),
             shard_threads: None,
             team: None,
             ever_dead,
             plan,
             node_shard,
             link_perm,
-            link_orig: Arc::new(link_orig),
             link_bounds,
             link_shard,
-            topo,
-            routing,
             faults: Arc::new(faults),
             timeout,
             routers: Sharded::from_flat(routers, &node_sizes),
@@ -514,11 +500,16 @@ impl Network {
             sources,
             link_flits: vec![0; links.len()],
             links: Sharded::from_flat(links, &link_sizes),
-            out_link: Arc::new(out_link),
-            link_head: Arc::new(link_head),
-            link_ids: Arc::new(link_ids),
             link_by_id,
-            in_upstream: Arc::new(in_upstream),
+            wiring: Arc::new(Wiring {
+                topo,
+                routing,
+                out_link,
+                link_head,
+                link_ids,
+                in_upstream,
+                link_orig,
+            }),
             churn_firings: Vec::new(),
             churn_trackers: Vec::new(),
             churn_undrained: 0,
@@ -532,9 +523,7 @@ impl Network {
             scheduled: VecDeque::new(),
             seq_counters: BTreeMap::new(),
             next_message_id: 0,
-            traversal_scratch: Vec::new(),
             stall_scratch: Vec::new(),
-            streak_scratch: Vec::new(),
             trace,
             now: Cycle::ZERO,
             record_deliveries: false,
@@ -560,7 +549,7 @@ impl Network {
 
     /// The topology.
     pub fn topology(&self) -> &dyn Topology {
-        &*self.topo
+        &*self.wiring.topo
     }
 
     /// The effective source timeout in cycles.
@@ -653,11 +642,11 @@ impl Network {
     /// output port feeds it.
     pub fn link_stall_stats(&self) -> Vec<(cr_sim::LinkId, LinkStats)> {
         let mut out = vec![(cr_sim::LinkId::new(0), LinkStats::default()); self.links.len()];
-        for (n, ports) in self.out_link.iter().enumerate() {
+        for (n, ports) in self.wiring.out_link.iter().enumerate() {
             let stats = self.routers[n].link_stats();
             for (p, li) in ports.iter().enumerate() {
                 if let (Some(li), Some(s)) = (li, stats.get(p)) {
-                    out[*li] = (self.link_ids[*li], *s);
+                    out[*li] = (self.wiring.link_ids[*li], *s);
                 }
             }
         }
@@ -692,18 +681,9 @@ impl Network {
         self.reference_stepper
     }
 
-    /// Forces the sharded stepper even when the plan has a single
-    /// shard. Results are identical either way — the sharded stepper
-    /// is byte-equal to the serial one at any shard count, including
-    /// one — so this only changes which machinery runs: equivalence
-    /// tests use it to push `shards = 1` through the persistent team,
-    /// its ownership hand-offs, and its phase barriers.
-    pub fn set_force_sharded(&mut self, on: bool) {
-        self.force_sharded = on;
-    }
-
     /// Number of spatial shards the active stepper runs with (1 =
-    /// serial; the dense reference stepper is always serial).
+    /// serial; the dense reference stepper runs its shards in order on
+    /// the calling thread).
     pub fn num_shards(&self) -> usize {
         self.plan.num_shards()
     }
@@ -836,15 +816,16 @@ impl Network {
     /// Panics if `src == dst`, if either node is out of range, or if
     /// `payload_len < 2`.
     pub fn send_message(&mut self, src: NodeId, dst: NodeId, payload_len: u32) -> MessageId {
-        assert!(src.index() < self.topo.num_nodes(), "src out of range");
-        assert!(dst.index() < self.topo.num_nodes(), "dst out of range");
+        let nodes = self.wiring.topo.num_nodes();
+        assert!(src.index() < nodes, "src out of range");
+        assert!(dst.index() < nodes, "dst out of range");
         assert_ne!(src, dst, "self-addressed message");
         assert!(payload_len >= 2, "a worm needs a head and a tail");
         let id = MessageId::new(self.next_message_id);
         self.next_message_id += 1;
         let msg_seq = self.next_flow_seq(src, dst);
         self.seq_counters.insert((src, dst), msg_seq + 1);
-        let hops = self.topo.distance(src, dst);
+        let hops = self.wiring.topo.distance(src, dst);
         let budget = self.cfg.routing.misroute_budget() as usize;
         let channel = dst.index() % self.cfg.inject_channels;
         let msg = PendingMessage {
@@ -906,29 +887,14 @@ impl Network {
             self.ever_dead = true;
         }
 
-        if self.reference_stepper {
-            self.phase_arrivals_dense(now);
-            self.phase_tokens(now);
-            if let Some(threshold) = self.cfg.path_wide_threshold {
-                self.phase_path_wide_dense(now, threshold);
-            }
-            self.phase_traffic(now);
-            self.phase_injection_dense(now);
-            self.phase_route_and_traverse_dense(now);
-        } else if self.plan.is_serial() && !self.force_sharded {
-            self.phase_arrivals_active(now);
-            self.phase_tokens(now);
-            if let Some(threshold) = self.cfg.path_wide_threshold {
-                self.phase_path_wide_active(now, threshold);
-            }
-            self.phase_traffic(now);
-            self.phase_injection_active(now);
-            self.phase_route_and_traverse_active(now);
-        } else {
-            // Spatially sharded stepper (DESIGN.md §12): byte-identical
-            // to the serial active path for any shard count.
-            self.step_sharded(now);
+        self.phase_arrivals(now);
+        self.phase_tokens(now);
+        if let Some(threshold) = self.cfg.path_wide_threshold {
+            self.phase_path_wide(now, threshold);
         }
+        self.phase_traffic(now);
+        self.phase_injection(now);
+        self.phase_route_and_traverse(now);
         self.phase_bookkeeping(now);
 
         self.now.tick();
@@ -1035,7 +1001,7 @@ impl Network {
             channel_utilization_max: util_max,
             cycles: self.now.as_u64(),
             warmup: self.cfg.warmup,
-            num_nodes: self.topo.num_nodes(),
+            num_nodes: self.wiring.topo.num_nodes(),
             offered_load: self.offered_load,
             accepted_flits_per_node_cycle: self.throughput.flits_per_node_cycle(self.now),
             latency: self.latency.stats().clone(),
@@ -1083,7 +1049,7 @@ impl Network {
     /// before any phase, so all three steppers observe the same
     /// dead-link set for the whole cycle. Flits already in flight on a
     /// killed link are *not* flushed here: corruption is assessed at
-    /// arrival time (`scan_link_arrivals` reads the live fault model),
+    /// arrival time (the arrivals body reads the live fault model),
     /// exactly as with static faults.
     fn apply_churn(&mut self, now: Cycle) {
         match self.faults.next_churn_at() {
@@ -1092,15 +1058,16 @@ impl Network {
         }
         let mut firings = std::mem::take(&mut self.churn_firings);
         firings.clear();
-        let topo = Arc::clone(&self.topo);
-        self.faults_mut().apply_churn_due(&*topo, now, &mut firings);
-        let num_vcs = self.routing.num_vcs();
+        let wiring = Arc::clone(&self.wiring);
+        let faults = self.faults_mut();
+        faults.apply_churn_due(&*wiring.topo, now, &mut firings);
+        let num_vcs = self.wiring.routing.num_vcs();
         for f in &firings {
             let mut affected: Vec<MessageId> = Vec::new();
             for &id in &f.killed {
                 let li = self.link_by_id[id.index()] as usize;
-                let (dst, dst_port) = self.link_head[li];
-                if let Some((src, src_port)) = self.in_upstream[dst][dst_port.index()] {
+                let (dst, dst_port) = self.wiring.link_head[li];
+                if let Some((src, src_port)) = self.wiring.in_upstream[dst][dst_port.index()] {
                     self.routers[src].set_dead_out(src_port);
                     // Worms holding the upstream output are stranded
                     // mid-transmission by this kill.
@@ -1124,8 +1091,8 @@ impl Network {
             }
             for &id in &f.revived {
                 let li = self.link_by_id[id.index()] as usize;
-                let (dst, dst_port) = self.link_head[li];
-                if let Some((src, src_port)) = self.in_upstream[dst][dst_port.index()] {
+                let (dst, dst_port) = self.wiring.link_head[li];
+                if let Some((src, src_port)) = self.wiring.in_upstream[dst][dst_port.index()] {
                     self.routers[src].clear_dead_out(src_port);
                     // Re-arm the upstream endpoint: a worm parked there
                     // waiting out the dead port must be reconsidered by
@@ -1162,163 +1129,14 @@ impl Network {
     // Phases
     // ------------------------------------------------------------------
 
-    /// Dense arrivals: sweep every link in original-index order
-    /// (skipping empty ones — a pure data check, not scheduling).
-    fn phase_arrivals_dense(&mut self, now: Cycle) {
-        for li in 0..self.links.len() {
-            if self.links[self.link_perm[li] as usize].occupied == 0 {
-                continue;
-            }
-            self.scan_link_arrivals(now, li);
-        }
-    }
-
-    /// Active arrivals: only links in the active set, ascending (the
-    /// dense sweep order), and only when a flit can actually be due
-    /// (`link_wake <= now`). Links drained empty leave the set; the
-    /// rest re-arm with a freshly computed wake.
-    fn phase_arrivals_active(&mut self, now: Cycle) {
-        let mut ids = std::mem::take(&mut self.ids_scratch);
-        ids.clear();
-        for set in &mut self.link_sets {
-            set.drain_sorted_into(&mut ids);
-        }
-        if self.link_sets.len() > 1 {
-            // Per-shard drains are permuted-index-sorted; the global
-            // scan order must be ascending by *original* index (the
-            // dense order). Serial one-shard runs skip this: the
-            // permutation is the identity and one sorted drain is
-            // already in order.
-            for id in ids.iter_mut() {
-                *id = self.link_orig[*id as usize];
-            }
-            ids.sort_unstable();
-            for id in ids.iter_mut() {
-                *id = self.link_perm[*id as usize];
-            }
-        }
-        for &pi32 in &ids {
-            let pi = pi32 as usize;
-            if self.links[pi].occupied == 0 {
-                continue; // purged empty since it was armed
-            }
-            if self.link_wake[pi] > now {
-                // Nothing due yet; the dense scan would peek every
-                // lane and break immediately.
-                self.link_sets[self.link_shard[pi] as usize].insert(pi32);
-                continue;
-            }
-            self.scan_link_arrivals(now, self.link_orig[pi] as usize);
-            if self.links[pi].occupied > 0 {
-                if let Some(wake) = self
-                    .links[pi]
-                    .lanes
-                    .iter()
-                    .filter_map(|lane| lane.front().map(|&(arrive, _)| arrive))
-                    .min()
-                {
-                    self.link_wake[pi] = wake;
-                }
-                self.link_sets[self.link_shard[pi] as usize].insert(pi32);
-            }
-        }
-        self.ids_scratch = ids;
-    }
-
-    /// Delivers every due flit of link `li` into its downstream
-    /// router: fault injection, killed-worm filtering, corruption
-    /// detection, then acceptance. Shared by both steppers.
-    fn scan_link_arrivals(&mut self, now: Cycle, li: usize) {
-        {
-            let pi = self.link_perm[li] as usize;
-            let (dst_node, dst_port) = self.link_head[li];
-            for v in 0..self.links[pi].lanes.len() {
-                let vc = VcId::from_index(v);
-                loop {
-                    // Wormhole channels are stall-holding: a flit
-                    // stays in the channel's pipeline latches while
-                    // the downstream buffer is full (the `link_depth`
-                    // share of the credits covers exactly this
-                    // occupancy).
-                    let killed = match self.links[pi].lanes[v].front() {
-                        Some(&(arrive, ref flit)) if arrive <= now => {
-                            let killed = self.killed.contains(flit.worm);
-                            if !killed && self.routers[dst_node].vc_is_full(dst_port, vc) {
-                                break;
-                            }
-                            killed
-                        }
-                        _ => break,
-                    };
-                    let Some((_, mut flit)) = self.links[pi].lanes[v].pop_front() else {
-                        break; // unreachable: front() just succeeded
-                    };
-                    self.links[pi].occupied -= 1;
-                    flit.hops = flit.hops.saturating_add(1);
-
-                    // Fault injection: dead links corrupt every flit
-                    // (the detectable-failure model); healthy links
-                    // corrupt at the transient rate.
-                    let link_id = self.link_ids[li];
-                    if self.faults.is_dead(link_id)
-                        || self.faults.corrupts_flit(&mut self.fault_rng)
-                    {
-                        if !flit.corrupted {
-                            self.counters.flits_corrupted += 1;
-                        }
-                        flit.corrupted = true;
-                    }
-
-                    // `killed` is still current: nothing between the
-                    // peek and here touches the registry.
-                    if killed {
-                        self.counters.flits_dropped_killed += 1;
-                        self.live_flits -= 1;
-                        self.credit_into(dst_node, dst_port, vc);
-                        continue;
-                    }
-
-                    if flit.corrupted && self.cfg.protocol.detects_faults() {
-                        if self.faults.detects_corruption(&mut self.fault_rng) {
-                            self.counters.flits_dropped_killed += 1;
-                            self.live_flits -= 1;
-                            self.credit_into(dst_node, dst_port, vc);
-                            let worm = flit.worm;
-                            self.trace.emit(|| Event::CorruptionDetected {
-                                at: now,
-                                link: link_id,
-                                message: worm.message,
-                                attempt: worm.attempt,
-                            });
-                            self.kill_worm_at(
-                                now,
-                                dst_node,
-                                dst_port,
-                                vc,
-                                flit.worm,
-                                KillCause::Fault,
-                            );
-                            continue;
-                        }
-                        self.counters.detections_missed += 1;
-                    }
-
-                    self.routers[dst_node].accept(now, dst_port, vc, flit);
-                    self.arm_router(dst_node);
-                    self.last_progress = now;
-                }
-            }
-        }
-    }
-
     /// Drops `worm`'s flits parked in the channel feeding
     /// `(node, in_port)`, restoring their credits — teardown of the
     /// stall-holding link stage.
     fn purge_link_into(&mut self, node: usize, in_port: PortId, vc: VcId, worm: cr_router::WormId) {
-        let Some((up_node, up_out)) = self.in_upstream[node][in_port.index()] else {
+        let Some((up_node, up_out)) = self.wiring.in_upstream[node][in_port.index()] else {
             return;
         };
-        let Some(li) = self.out_link[up_node][up_out.index()] else {
+        let Some(li) = self.wiring.out_link[up_node][up_out.index()] else {
             return;
         };
         let pi = self.link_perm[li] as usize;
@@ -1336,7 +1154,7 @@ impl Network {
 
     fn phase_tokens(&mut self, now: Cycle) {
         if self.fwd_tokens.is_empty() && self.bwd_tokens.is_empty() {
-            // Provably a no-op (both steppers): the walk loops run
+            // Provably a no-op (every schedule): the walk loops run
             // zero iterations and nothing else is touched.
             return;
         }
@@ -1360,25 +1178,7 @@ impl Network {
         std::mem::swap(&mut self.fwd_tokens, &mut self.fwd_scratch);
         for i in 0..self.fwd_scratch.len() {
             let t = self.fwd_scratch[i];
-            crate::network::debug_worm(t.worm, || format!("{now} FWD {} at n{} {} {}", t.worm, t.node, t.port, t.vc));
-            let released = self.flush_and_credit(t.node, t.port, t.vc, t.worm);
-            crate::network::debug_worm(t.worm, || format!("  released {released:?}"));
-            match released {
-                Some(RouteTarget::Link { port, vc }) => {
-                    if let Some((next_node, next_port)) = self.downstream_of(t.node, port) {
-                        self.fwd_tokens.push(Token {
-                            worm: t.worm,
-                            node: next_node,
-                            port: next_port,
-                            vc,
-                        });
-                    }
-                }
-                Some(RouteTarget::Eject { .. }) => {
-                    self.receivers[t.node].discard(t.worm);
-                }
-                None => {}
-            }
+            self.flush_forward(t.node, t.port, t.vc, t.worm);
         }
 
         // Backward tokens: walk toward the source, ending at its
@@ -1387,55 +1187,49 @@ impl Network {
         std::mem::swap(&mut self.bwd_tokens, &mut self.bwd_scratch);
         for i in 0..self.bwd_scratch.len() {
             let t = self.bwd_scratch[i];
-            crate::network::debug_worm(t.worm, || format!("{now} BWD {} at n{} {} {}", t.worm, t.node, t.port, t.vc));
             let _ = self.flush_and_credit(t.node, t.port, t.vc, t.worm);
             self.continue_backward(now, t);
         }
     }
 
-    fn phase_path_wide_dense(&mut self, now: Cycle, threshold: u64) {
-        for node in 0..self.routers.len() {
-            self.path_wide_one(now, threshold, node);
-        }
-    }
-
-    /// Active path-wide detection: a stalled worm needs a buffered
-    /// flit, so only routers in the active set can trigger. The set
-    /// is iterated sorted but *not* drained — the route/traverse
-    /// phase owns its drain-and-rebuild. Kills never insert routers,
-    /// so the membership is stable across the walk.
-    fn phase_path_wide_active(&mut self, now: Cycle, threshold: u64) {
-        // Walking the per-shard sets in shard order visits nodes in
-        // global ascending order (contiguous node ranges). Kills arm
-        // injectors, never routers, so each set is stable while
-        // walked.
-        for s in 0..self.router_sets.len() {
-            self.router_sets[s].sort();
-            for k in 0..self.router_sets[s].len() {
-                let node = self.router_sets[s].get(k) as usize;
-                self.path_wide_one(now, threshold, node);
+    /// Path-wide detection over every router (dense) or the router
+    /// sets (active), ascending. A stalled worm needs a buffered flit,
+    /// so only routers in the sets can trigger. The sets are read, not
+    /// drained — routing owns their drain-and-rebuild — and kills arm
+    /// injectors, never routers, so the list is stable while walked.
+    fn phase_path_wide(&mut self, now: Cycle, threshold: u64) {
+        let mut ids = std::mem::take(&mut self.ids_scratch);
+        ids.clear();
+        if self.reference_stepper {
+            ids.extend((0..self.routers.len()).map(idx32));
+        } else {
+            // Shards own contiguous node ranges: walking the sets in
+            // shard order is globally ascending.
+            for set in &mut self.router_sets {
+                set.sort();
+                ids.extend((0..set.len()).map(|k| set.get(k)));
             }
         }
-    }
-
-    fn path_wide_one(&mut self, now: Cycle, threshold: u64, node: usize) {
         let mut stalled = std::mem::take(&mut self.stall_scratch);
-        stalled.clear();
-        self.routers[node].stalled_worms_into(now, threshold, &mut stalled);
-        for k in 0..stalled.len() {
-            let (port, vc, worm) = stalled[k];
-            if self.killed.contains(worm) {
-                continue;
-            }
-            self.counters.kills_path_wide += 1;
-            if let Some((sn, sc)) = self.source_of(worm.message) {
-                if self.injectors[sn][sc].is_committed(worm) {
-                    self.counters.kills_committed += 1;
+        for &node in &ids {
+            let node = node as usize;
+            stalled.clear();
+            self.routers[node].stalled_worms_into(now, threshold, &mut stalled);
+            for &(port, vc, worm) in &stalled {
+                if self.killed.contains(worm) {
+                    continue;
                 }
+                self.counters.kills_path_wide += 1;
+                if let Some((sn, sc)) = self.source_of(worm.message) {
+                    if self.injectors[sn][sc].is_committed(worm) {
+                        self.counters.kills_committed += 1;
+                    }
+                }
+                self.kill_worm_at(now, node, port, vc, worm, KillCause::PathWide);
             }
-            self.kill_worm_at(now, node, port, vc, worm, KillCause::PathWide);
         }
         self.stall_scratch = stalled;
+        self.ids_scratch = ids;
     }
 
     fn phase_traffic(&mut self, now: Cycle) {
@@ -1445,277 +1239,11 @@ impl Network {
             };
             self.send_message(e.src, e.dst, e.length);
         }
-        if self.sources.is_empty() {
-            return;
-        }
         for n in 0..self.sources.len() {
             if let Some(req) = self.sources[n].poll() {
-                let src = NodeId::from_index(n);
-                self.send_message(src, req.dst, idx32(req.length));
-                // send_message stamps `created: self.now`, which is
-                // `now` — correct.
+                self.send_message(NodeId::from_index(n), req.dst, idx32(req.length));
             }
         }
-        let _ = now;
-    }
-
-    fn phase_injection_dense(&mut self, now: Cycle) {
-        for n in 0..self.routers.len() {
-            for c in 0..self.cfg.inject_channels {
-                self.step_injector_one(now, n, c);
-            }
-        }
-    }
-
-    /// Active injection: only injectors with a worm in hand or a
-    /// queue, ascending flat id — identical to the dense (node,
-    /// channel) order. Every way an idle injector gains work (enqueue,
-    /// backward-kill re-queue) goes through an arming wrapper in an
-    /// earlier phase, so the set is complete when drained; in-phase
-    /// kills only concern the injector being stepped.
-    fn phase_injection_active(&mut self, now: Cycle) {
-        let chans = self.cfg.inject_channels;
-        let mut ids = std::mem::take(&mut self.ids_scratch);
-        ids.clear();
-        // Shards own contiguous node-id ranges, so concatenating the
-        // per-shard sorted drains in shard order is globally ascending.
-        for set in &mut self.injector_sets {
-            set.drain_sorted_into(&mut ids);
-        }
-        for &id in &ids {
-            let (n, c) = (id as usize / chans, id as usize % chans);
-            self.step_injector_one(now, n, c);
-            if self.injectors[n][c].has_step_work() {
-                self.injector_sets[self.node_shard[n] as usize].insert(id);
-            }
-        }
-        self.ids_scratch = ids;
-    }
-
-    /// One injector's cycle, with all the network-side bookkeeping.
-    /// `step` is a no-op that draws no RNG whenever
-    /// [`Injector::has_step_work`] is false — the skip condition.
-    fn step_injector_one(&mut self, now: Cycle, n: usize, c: usize) {
-        let out = self.injectors[n][c].step(now, &mut self.routers[n]);
-        if out.injected_flit {
-            self.last_progress = now;
-            self.live_flits += 1;
-            self.arm_router(n);
-            if out.injected_pad {
-                self.counters.pad_flits_injected += 1;
-            } else {
-                self.counters.payload_flits_injected += 1;
-            }
-        }
-        if out.restarted {
-            self.counters.retransmissions += 1;
-        }
-        if let Some((worm, dst)) = out.started {
-            self.trace.emit(|| Event::Inject {
-                at: now,
-                src: NodeId::from_index(n),
-                dst,
-                message: worm.message,
-                attempt: worm.attempt,
-            });
-        }
-        if let Some(worm) = out.committed {
-            self.trace.emit(|| Event::Commit {
-                at: now,
-                src: NodeId::from_index(n),
-                message: worm.message,
-                attempt: worm.attempt,
-            });
-        }
-        if let Some(worm) = out.kill {
-            self.counters.kills_source_timeout += 1;
-            let port = self.routers[n].inject_port(c);
-            self.kill_worm_at(now, n, port, VcId::new(0), worm, KillCause::SourceTimeout);
-            let retx = self.injector_on_killed(n, c, now, worm);
-            self.emit_retransmit(now, worm.message, retx);
-        }
-    }
-
-    fn phase_route_and_traverse_dense(&mut self, now: Cycle) {
-        for n in 0..self.routers.len() {
-            self.route_one(now, n);
-        }
-        for n in 0..self.routers.len() {
-            self.orphan_credits_one(n);
-        }
-        for n in 0..self.routers.len() {
-            self.traverse_one(now, n);
-        }
-        self.apply_deferred_credits();
-        // Finished link-stall streaks become LinkStall events. The
-        // routers only record streaks while tracing (the per-cause
-        // counters are always on), so this drain is trace-gated too.
-        if self.trace.enabled() {
-            for n in 0..self.routers.len() {
-                self.drain_streaks_one(n);
-            }
-        }
-    }
-
-    /// Active route/traverse: drain-and-rebuild over the router set.
-    /// The four sub-stages keep the dense phase barriers (all routing
-    /// completes before any orphan credit returns, all credits before
-    /// any traversal), each walking the same member list ascending —
-    /// so per-router RNG state, upstream credit interleaving and
-    /// trace-event order match the dense sweep exactly. Routers not
-    /// in the set are empty with no open streaks, for which every
-    /// sub-stage is a no-op that draws no RNG. Nothing in this phase
-    /// arms a router, so the drained list is complete.
-    fn phase_route_and_traverse_active(&mut self, now: Cycle) {
-        let mut ids = std::mem::take(&mut self.ids_scratch);
-        ids.clear();
-        // Contiguous node ranges per shard: concatenated sorted drains
-        // are globally ascending.
-        for set in &mut self.router_sets {
-            set.drain_sorted_into(&mut ids);
-        }
-        for &n in &ids {
-            self.route_one(now, n as usize);
-        }
-        for &n in &ids {
-            self.orphan_credits_one(n as usize);
-        }
-        for &n in &ids {
-            self.traverse_one(now, n as usize);
-        }
-        self.apply_deferred_credits();
-        if self.trace.enabled() {
-            for &n in &ids {
-                self.drain_streaks_one(n as usize);
-            }
-        }
-        for &n in &ids {
-            let r = &self.routers[n as usize];
-            if r.total_occupancy() > 0 || r.has_open_streaks() {
-                self.router_sets[self.node_shard[n as usize] as usize].insert(n);
-            }
-        }
-        self.ids_scratch = ids;
-    }
-
-    /// Routing/VC-allocation for one router; orphan drops leave the
-    /// network, so they come off the live-flit count.
-    fn route_one(&mut self, now: Cycle, n: usize) {
-        let killed = &self.killed;
-        let is_killed = |w: cr_router::WormId| killed.contains(w);
-        let orphans =
-            self.routers[n].route_and_allocate(now, &*self.routing, &*self.topo, &is_killed);
-        self.live_flits -= orphans;
-    }
-
-    /// Returns the upstream credits for one router's orphan drops.
-    fn orphan_credits_one(&mut self, n: usize) {
-        let orphans = self.routers[n].take_orphan_credits();
-        for (port, vc) in orphans {
-            self.credit_into(n, port, vc);
-        }
-    }
-
-    /// Switch traversal for one router: departing flits move onto
-    /// links (re-arming them) or into the receiver, credits return
-    /// upstream, deliveries retire messages.
-    fn traverse_one(&mut self, now: Cycle, n: usize) {
-        let mut traversals = std::mem::take(&mut self.traversal_scratch);
-        traversals.clear();
-        {
-            let killed = &self.killed;
-            let is_killed = |w: cr_router::WormId| killed.contains(w);
-            self.routers[n].traverse_into(now, &is_killed, &mut traversals);
-        }
-        for k in 0..traversals.len() {
-            let t = traversals[k];
-            self.last_progress = now;
-            if self.routers[n].port_kind(t.from_port) == PortKind::Node {
-                // Credit-return latency: the freed slot is advertised
-                // upstream at the end of the traverse sub-stage, not
-                // mid-sweep, so no router's routing/traversal decision
-                // this cycle can observe a credit released by a
-                // lower-numbered router the same cycle. This is also
-                // what makes per-shard traversal order-free: credits
-                // buffered by every shard commit together at the
-                // barrier (DESIGN.md §12).
-                self.credit_scratch.push((idx32(n), t.from_port, t.from_vc));
-            }
-            match t.target {
-                RouteTarget::Link { port, vc } => {
-                    let Some(li) = self.out_link[n][port.index()] else {
-                        // Routing only offers connected ports;
-                        // stay loud in debug, drop defensively in
-                        // release rather than killing the sweep
-                        // worker.
-                        debug_assert!(false, "route to disconnected port");
-                        continue;
-                    };
-                    if now.as_u64() >= self.cfg.warmup {
-                        self.link_flits[li] += 1;
-                    }
-                    // Router -> link: net zero for the live count.
-                    self.push_onto_link(li, vc, now + self.cfg.channel_latency, t.flit);
-                }
-                RouteTarget::Eject { .. } => {
-                    // The flit left the fabric, whether delivered or
-                    // discarded below.
-                    self.live_flits -= 1;
-                    if self.killed.contains(t.flit.worm) {
-                        self.counters.flits_dropped_killed += 1;
-                        self.receivers[n].discard(t.flit.worm);
-                        continue;
-                    }
-                    let delivered = self.receivers[n].on_flit(now, t.flit);
-                    for m in delivered {
-                        self.counters.messages_delivered += 1;
-                        self.counters.payload_flits_delivered += u64::from(m.payload_len);
-                        if m.corrupt {
-                            self.counters.corrupt_payload_delivered += 1;
-                        }
-                        self.latency.record(m.created, now);
-                        self.throughput
-                            .record_flits(now, m.payload_len as usize);
-                        self.trace.emit(|| Event::Deliver {
-                            at: now,
-                            src: m.src,
-                            dst: m.dst,
-                            message: m.id,
-                            attempts: m.attempts,
-                            latency: now.saturating_since(m.created),
-                        });
-                        if let Some((sn, sc)) = self.source_of(m.id) {
-                            self.worm_sources[m.id.as_u64() as usize] = SOURCE_GONE;
-                            self.injector_on_delivered(sn, sc, m.id);
-                        }
-                        if self.record_deliveries {
-                            self.delivery_log.push(m);
-                        }
-                    }
-                }
-            }
-        }
-        self.traversal_scratch = traversals;
-    }
-
-    /// Converts one router's finished stall streaks into `LinkStall`
-    /// trace events (only called while tracing).
-    fn drain_streaks_one(&mut self, n: usize) {
-        let mut streaks = std::mem::take(&mut self.streak_scratch);
-        streaks.clear();
-        self.routers[n].drain_streaks_into(&mut streaks);
-        for s in &streaks {
-            if let Some(li) = self.out_link[n][s.port.index()] {
-                let link = self.link_ids[li];
-                self.trace.emit(|| Event::LinkStall {
-                    at: s.since,
-                    link,
-                    cause: s.cause,
-                    cycles: s.cycles,
-                });
-            }
-        }
-        self.streak_scratch = streaks;
     }
 
     fn phase_bookkeeping(&mut self, now: Cycle) {
@@ -1879,7 +1407,6 @@ impl Network {
         worm: WormId,
         cause: KillCause,
     ) {
-        crate::network::debug_worm(worm, || format!("{now} KILL {worm} cause {cause:?} at n{node} {port} {vc}"));
         self.killed_mut().insert(worm, now);
         if cause == KillCause::Fault {
             self.counters.kills_fault += 1;
@@ -1892,21 +1419,7 @@ impl Network {
             cause,
         });
         // Tear down from the kill point toward the destination.
-        let released = self.flush_and_credit(node, port, vc, worm);
-        match released {
-            Some(RouteTarget::Link { port: op, vc: ov }) => {
-                if let Some((next_node, next_port)) = self.downstream_of(node, op) {
-                    self.fwd_tokens.push(Token {
-                        worm,
-                        node: next_node,
-                        port: next_port,
-                        vc: ov,
-                    });
-                }
-            }
-            Some(RouteTarget::Eject { .. }) => self.receivers[node].discard(worm),
-            None => {}
-        }
+        self.flush_forward(node, port, vc, worm);
         // And from the kill point toward the source (no-op for
         // source-initiated kills, whose kill point is the injection
         // FIFO itself).
@@ -1926,12 +1439,12 @@ impl Network {
     /// drained behind the worm's tail).
     fn continue_backward(&mut self, now: Cycle, t: Token) {
         if self.routers[t.node].port_kind(t.port) == PortKind::Inject {
-            let channel = t.port.index() - self.topo.num_ports(NodeId::from_index(t.node));
+            let channel = t.port.index() - self.wiring.topo.num_ports(NodeId::from_index(t.node));
             let retx = self.injector_on_killed(t.node, channel, now, t.worm);
             self.emit_retransmit(now, t.worm.message, retx);
             return;
         }
-        let up = self.in_upstream[t.node][t.port.index()];
+        let up = self.wiring.in_upstream[t.node][t.port.index()];
         if let Some((up_node, up_out)) = up {
             if let Some((ip, iv)) = self.routers[up_node].output_owner(up_out, t.vc) {
                 if self.routers[up_node].worm_of(ip, iv) == Some(t.worm) {
@@ -1947,10 +1460,6 @@ impl Network {
         }
         // The upstream chain has already released (the tail passed):
         // notify the source directly.
-        crate::network::debug_worm(t.worm, || {
-            let up = self.in_upstream[t.node][t.port.index()];
-            format!("  BWD stop at n{} {} {}: upstream {:?}", t.node, t.port, t.vc, up)
-        });
         self.notify_source(now, t.worm);
     }
 
@@ -1997,28 +1506,31 @@ impl Network {
 
     /// Returns one credit to the router feeding `(node, in_port, vc)`.
     fn credit_into(&mut self, node: usize, in_port: PortId, vc: VcId) {
-        if let Some((up_node, up_out)) = self.in_upstream[node][in_port.index()] {
+        if let Some((up_node, up_out)) = self.wiring.in_upstream[node][in_port.index()] {
             self.routers[up_node].add_credit(up_out, vc);
         }
     }
 
-    /// Commits the credits buffered by the traverse sub-stage (see
-    /// `traverse_one`): the end-of-stage barrier of the one-cycle
-    /// credit-return latency.
-    fn apply_deferred_credits(&mut self) {
-        let mut credits = std::mem::take(&mut self.credit_scratch);
-        for &(node, in_port, vc) in &credits {
-            self.credit_into(node as usize, in_port, vc);
+    /// Flushes `worm` at `(node, port, vc)` and carries its teardown
+    /// one hop toward the destination: a forward token at the next
+    /// router, or a discard at this node's receiver.
+    fn flush_forward(&mut self, node: usize, port: PortId, vc: VcId, worm: WormId) {
+        match self.flush_and_credit(node, port, vc, worm) {
+            Some(RouteTarget::Link { port: out, vc }) => {
+                if let Some(li) = self.wiring.out_link[node][out.index()] {
+                    let (node, port) = self.wiring.link_head[li];
+                    self.fwd_tokens.push(Token {
+                        worm,
+                        node,
+                        port,
+                        vc,
+                    });
+                }
+            }
+            Some(RouteTarget::Eject { .. }) => self.receivers[node].discard(worm),
+            None => {}
         }
-        credits.clear();
-        self.credit_scratch = credits;
     }
-
-    fn downstream_of(&self, node: usize, out_port: PortId) -> Option<(usize, PortId)> {
-        let li = self.out_link[node][out_port.index()]?;
-        Some(self.link_head[li])
-    }
-
 }
 
 impl Drop for Network {
@@ -2029,18 +1541,5 @@ impl Drop for Network {
         // the explicit order keeps teardown deterministic and lets the
         // no-thread-leak regression test assert it.
         self.team = None;
-    }
-}
-
-/// Env-gated per-worm teardown tracing: set `CR_DEBUG_W=m<id>` to log
-/// every kill and token step of that message to stderr. The filter is
-/// read once per process.
-pub(crate) fn debug_worm(worm: WormId, msg: impl Fn() -> String) {
-    static FILTER: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
-    let filter = FILTER.get_or_init(|| std::env::var("CR_DEBUG_W").ok());
-    if let Some(v) = filter {
-        if *v == format!("m{}", worm.message.as_u64()) {
-            eprintln!("{}", msg());
-        }
     }
 }

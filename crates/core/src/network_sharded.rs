@@ -1,70 +1,78 @@
-//! Spatially sharded stepper: the active-set cycle phases fanned out
-//! over contiguous node-id shards on a persistent [`pool::Team`],
-//! byte-identical to the serial stepper (DESIGN.md §12).
+//! The cycle kernel: one body per parallel-capable phase, run under
+//! three schedules (DESIGN.md §10, §12).
 //!
-//! # How identity is preserved
+//! # One body per phase
 //!
-//! Every shard owns a contiguous node-id range (`cr_sim::shard::Plan`)
-//! and, with it, the routers, injectors and receivers of those nodes
-//! plus every link whose *destination* lies in the range (arrivals
-//! mutate the destination router, so links live with their heads; link
-//! state is stored permuted so each shard's links are one contiguous
-//! chunk). Four phases run as one team task per shard — arrivals,
-//! injection, routing + orphan-credit collection, and switch traversal
-//! — and everything a task would have to touch outside its shard is
-//! buffered in its [`ShardScratch`] instead: upstream credit returns,
-//! departing flits (a struct-of-arrays push buffer), teardown tokens,
-//! killed-registry inserts, trace events, deliveries, and counter
-//! deltas. At each phase barrier the buffers drain **in shard order**,
-//! which — because shards are contiguous id ranges walked ascending —
-//! reproduces exactly the global ascending order of the serial sweep.
-//! Between the phase fan-outs the serial sub-phases (kill tokens,
-//! path-wide detection, traffic, bookkeeping) run unchanged on the
-//! orchestrator thread.
+//! Arrivals, injection, routing plus orphan-credit collection, and
+//! switch traversal each have exactly one implementation here. A body
+//! works on one shard's state ([`Shard`]: the routers, injectors and
+//! receivers of a contiguous node-id range, plus every link whose
+//! *destination* lies in that range) and reads the shared tables
+//! through a [`Ctx`]. Everything a body would have to touch outside
+//! its shard is buffered in its [`ShardScratch`] instead: upstream
+//! credit returns, departing flits, teardown tokens, killed-registry
+//! inserts, trace events, deliveries and counter deltas. Each phase
+//! has one barrier routine on [`Network`] that applies those buffers
+//! in shard order. Shards are contiguous id ranges walked ascending,
+//! so shard order reproduces the global ascending order of one big
+//! sweep.
 //!
-//! # Ownership across the fan-out
+//! # Three schedules
 //!
-//! The team's workers are long-lived, so tasks must be `'static`: no
-//! borrows of the network cross the dispatch boundary. Instead each
-//! shard's mutable state is stored in per-shard chunks
-//! ([`cr_sim::shard::Sharded`]) that [`Network::take_shard`] moves
-//! into the task as a [`ShardWork`] value and the task returns when
-//! done; the read-only tables ride along as `Arc` clones inside one
-//! [`SharedCtx`] per fan-out. Every `SharedCtx` is dropped before the
-//! barrier code runs, so the serially-mutated registries (`killed`,
-//! `faults`) are uniquely owned again whenever `Arc::make_mut` touches
-//! them.
+//! The steppers differ only in which components a body visits and how
+//! the bodies are dispatched:
 //!
-//! Two structural properties make the fan-out sound:
+//! * **Dense reference** ([`Network::set_reference_stepper`]): each
+//!   body visits every component of its shard, the bodies run on the
+//!   calling thread in shard order, and the run loops never
+//!   fast-forward.
+//! * **Serial active** (one shard, the default): each body drains its
+//!   shard's active set and runs directly on the calling thread.
+//! * **Sharded** (`shards > 1`): each body drains its shard's active
+//!   set and runs as one task per shard on the persistent
+//!   [`pool::Team`]. Team workers are long-lived, so a task owns its
+//!   shard's state for the fan-out ([`ShardWork`], moved out of the
+//!   per-shard chunks and back) and reads the tables through `Arc`
+//!   clones ([`SharedCtx`]) that are dropped before the barrier runs.
 //!
-//! * **Credit-return latency.** The traverse sub-stage's upstream
-//!   credit returns are buffered and committed at the end of the
-//!   sub-stage *in both steppers* (see `traverse_one`), so no
-//!   same-cycle decision can observe a credit freed by another router
-//!   this cycle — and therefore no cross-shard read order exists to
-//!   preserve.
-//! * **Quiet-cycle arrivals commute.** The parallel arrivals path is
-//!   taken exactly when no arrival this cycle can draw the fault RNG
-//!   or kill a worm — checked per cycle by
-//!   [`Network::arrivals_parallel_ok`] (no transient corruption, and
-//!   under fault-detecting protocols no dead link with a due flit and
-//!   no possibly-roaming corrupted flit); otherwise the phase falls
-//!   back to the serial global-order scan for the whole cycle.
+//! # Arrivals and the detection escape
+//!
+//! Arrivals are the one phase whose body can need the orchestrator
+//! mid-scan. Under a fault-detecting protocol a corrupted arrival
+//! kills its worm, and that kill must take effect before the next
+//! flit is peeked: it inserts into the registry that later
+//! `killed.contains` peeks read, and it purges the very lane being
+//! scanned. The body therefore stops with a [`Detected`] value, the
+//! caller applies the kill with `Network::kill_worm_at`, and the scan
+//! resumes at the same link and lane. The fault RNG is drawn in the
+//! same global order. `Network::arrivals_parallel_ok` picks one of
+//! two schedules per cycle:
+//!
+//! * **fan-out**: the body runs per shard on the team, without the
+//!   fault RNG. The gate has proved that no arrival this cycle can draw
+//!   it or detect corruption, and a `debug_assert` checks that the
+//!   body never stops;
+//! * **serial walk**: the body runs on the calling thread over every
+//!   due link in global original-index order, with the fault RNG and
+//!   the detection stop live.
+//!
+//! Traversal needs no such escape. Its upstream credit returns are
+//! committed at the end of the phase under every schedule (one cycle
+//! of credit-return latency), so no same-cycle decision can observe a
+//! credit freed by another router, and no cross-shard read order
+//! exists to preserve.
 
-use super::{LinkState, Network, Token, SOURCE_GONE};
+use super::{idx32, LinkState, Network, Token, Wiring, SOURCE_GONE};
 use crate::injector::Injector;
 use crate::killmap::KilledMap;
 use crate::receiver::{DeliveredMessage, Receiver};
 use crate::report::NetCounters;
 use cr_faults::FaultModel;
-use cr_router::{
-    Flit, LinkStallStreak, PortKind, RouteTarget, Router, RoutingFunction, Traversal, WormId,
-};
+use cr_router::{Flit, LinkStallStreak, PortKind, RouteTarget, Router, Traversal, WormId};
 use cr_sim::pool;
 use cr_sim::sched::ActiveSet;
 use cr_sim::trace::{Event, KillCause};
-use cr_sim::{Cycle, NodeId, PortId, VcId};
-use cr_topology::Topology;
+use cr_sim::{Cycle, LinkId, NodeId, PortId, SimRng, VcId};
 use std::sync::Arc;
 
 /// Per-shard mutation buffers, drained at each phase barrier in shard
@@ -72,8 +80,8 @@ use std::sync::Arc;
 /// capacities amortize.
 #[derive(Default)]
 pub(crate) struct ShardScratch {
-    /// Drained active-set members being walked this phase (router ids
-    /// persist from the route fan-out to the traverse fan-out).
+    /// Component ids being walked this phase (router ids persist from
+    /// the route body to the traverse body).
     ids: Vec<u32>,
     /// Per-router switch-traversal output, reused across routers.
     traversals: Vec<Traversal>,
@@ -88,8 +96,8 @@ pub(crate) struct ShardScratch {
     /// Flit payload per push.
     push_flit: Vec<Flit>,
     /// Upstream credit returns, already resolved to (upstream node,
-    /// upstream output port, vc) — credits commute, so per-shard
-    /// buffers applied in shard order equal the serial interleaving.
+    /// upstream output port, vc). Credits commute, so per-shard
+    /// buffers applied in shard order equal any serial interleaving.
     credits: Vec<(u32, PortId, VcId)>,
     /// Messages completed by this shard's receivers, in traversal
     /// order; all delivery side effects run at the barrier.
@@ -101,8 +109,8 @@ pub(crate) struct ShardScratch {
     /// Trace events in shard-local emission order (empty when tracing
     /// is off).
     events: Vec<Event>,
-    /// `LinkStall` events, kept separate because the serial stepper
-    /// emits all streaks after all deliveries.
+    /// `LinkStall` events, kept separate because every streak event is
+    /// emitted after every delivery.
     streak_events: Vec<Event>,
     /// Counter increments (plain sums; merge order cannot matter).
     counters: NetCounters,
@@ -114,11 +122,55 @@ pub(crate) struct ShardScratch {
     progress: bool,
 }
 
-/// One shard's owned mutable state, moved into a team task for the
-/// duration of a fan-out and handed back as the task's return value.
-/// Taking all of it for every fan-out is O(1) per field (`mem::take`
-/// of the chunk vectors) and sidesteps per-phase borrow plumbing.
+/// The read-only tables a phase body reads, borrowed for one call.
+pub(crate) struct Ctx<'a> {
+    now: Cycle,
+    /// Visit every component of the shard instead of draining its
+    /// active set (the dense reference schedule).
+    dense: bool,
+    wiring: &'a Wiring,
+    killed: &'a KilledMap,
+    faults: &'a FaultModel,
+    detects: bool,
+    trace_on: bool,
+    chans: usize,
+}
+
+impl Ctx<'_> {
+    /// Buffers a credit for the router feeding `(node, in_port, vc)`.
+    fn buffer_credit(&self, scratch: &mut ShardScratch, node: usize, in_port: PortId, vc: VcId) {
+        if let Some((up_node, up_out)) = self.wiring.in_upstream[node][in_port.index()] {
+            scratch.credits.push((idx32(up_node), up_out, vc));
+        }
+    }
+}
+
+/// One shard's mutable state, borrowed for one body call. Indices into
+/// the slices are shard-local: node `n` is `routers[n - node_lo]`,
+/// permuted link `pi` is `links[pi - links_lo]`.
+pub(crate) struct Shard<'a> {
+    node_lo: usize,
+    links_lo: usize,
+    routers: &'a mut [Router],
+    links: &'a mut [LinkState],
+    wake: &'a mut [Cycle],
+    injectors: &'a mut [Vec<Injector>],
+    receivers: &'a mut [Receiver],
+    router_set: &'a mut ActiveSet,
+    link_set: &'a mut ActiveSet,
+    injector_set: &'a mut ActiveSet,
+    scratch: &'a mut ShardScratch,
+}
+
+/// A phase body: one shard's share of one cycle phase.
+type Body = for<'c, 's> fn(&Ctx<'c>, &mut Shard<'s>);
+
+/// One shard's owned state, moved into a team task for the duration
+/// of a fan-out and handed back as the task's return value. Taking it
+/// is O(1) per field (`mem::take` of the chunk vectors).
 pub(crate) struct ShardWork {
+    node_lo: usize,
+    links_lo: usize,
     routers: Vec<Router>,
     links: Vec<LinkState>,
     wake: Vec<Cycle>,
@@ -130,6 +182,66 @@ pub(crate) struct ShardWork {
     scratch: ShardScratch,
 }
 
+impl ShardWork {
+    fn view(&mut self) -> Shard<'_> {
+        Shard {
+            node_lo: self.node_lo,
+            links_lo: self.links_lo,
+            routers: &mut self.routers,
+            links: &mut self.links,
+            wake: &mut self.wake,
+            injectors: &mut self.injectors,
+            receivers: &mut self.receivers,
+            router_set: &mut self.router_set,
+            link_set: &mut self.link_set,
+            injector_set: &mut self.injector_set,
+            scratch: &mut self.scratch,
+        }
+    }
+}
+
+/// `Arc` clones of the tables, shared by every task of one fan-out.
+/// Dropped before the barrier, so the serially mutated registries
+/// (`killed`, `faults`) are uniquely owned again whenever
+/// `Arc::make_mut` touches them.
+struct SharedCtx {
+    now: Cycle,
+    wiring: Arc<Wiring>,
+    killed: Arc<KilledMap>,
+    faults: Arc<FaultModel>,
+    detects: bool,
+    trace_on: bool,
+    chans: usize,
+}
+
+impl SharedCtx {
+    fn ctx(&self) -> Ctx<'_> {
+        Ctx {
+            now: self.now,
+            dense: false,
+            wiring: &self.wiring,
+            killed: &self.killed,
+            faults: &self.faults,
+            detects: self.detects,
+            trace_on: self.trace_on,
+            chans: self.chans,
+        }
+    }
+}
+
+/// Where an arrivals scan stopped for a detected corruption: the
+/// caller kills `worm` at `(node, port, vc)` and resumes the scan at
+/// `ids[pos]`, lane `lane`.
+pub(crate) struct Detected {
+    pos: usize,
+    lane: usize,
+    node: usize,
+    port: PortId,
+    vc: VcId,
+    worm: WormId,
+    link: LinkId,
+}
+
 /// Applies a signed delta to an unsigned incremental counter.
 fn apply_delta(value: &mut usize, delta: i64) {
     let next = *value as i64 + delta;
@@ -137,72 +249,72 @@ fn apply_delta(value: &mut usize, delta: i64) {
     *value = next.max(0) as usize;
 }
 
-/// Read-only context shared by every shard task of one fan-out:
-/// `Arc` clones of the immutable tables (plus the registries that are
-/// only mutated serially, between fan-outs). Dropped before the
-/// barrier so the registries are uniquely owned again.
-struct SharedCtx {
-    now: Cycle,
-    link_orig: Arc<Vec<u32>>,
-    link_head: Arc<Vec<(usize, PortId)>>,
-    link_ids: Arc<Vec<cr_sim::LinkId>>,
-    out_link: Arc<Vec<Vec<Option<usize>>>>,
-    in_upstream: Arc<Vec<Vec<Option<(usize, PortId)>>>>,
-    killed: Arc<KilledMap>,
-    faults: Arc<FaultModel>,
-    routing: Arc<dyn RoutingFunction>,
-    topo: Arc<dyn Topology>,
-    trace_on: bool,
-    chans: usize,
-}
-
-impl SharedCtx {
-    /// Buffers a credit for the router feeding `(node, in_port, vc)`
-    /// (the shard-safe analogue of `Network::credit_into`).
-    fn buffer_credit(&self, scratch: &mut ShardScratch, node: usize, in_port: PortId, vc: VcId) {
-        if let Some((up_node, up_out)) = self.in_upstream[node][in_port.index()] {
-            scratch.credits.push((crate::network::idx32(up_node), up_out, vc));
-        }
+/// Fills `out` with the ids a body visits: all of `range` under the
+/// dense schedule, else the drained active set (ascending).
+fn visit(dense: bool, set: &mut ActiveSet, range: std::ops::Range<usize>, out: &mut Vec<u32>) {
+    out.clear();
+    if dense {
+        out.extend(range.map(idx32));
+    } else {
+        set.drain_sorted_into(out);
     }
 }
 
 impl Network {
-    /// Worker threads for the phase fan-outs: the explicit override if
-    /// set, else the machine's available parallelism (always capped at
-    /// the shard count by the team sizing).
-    fn shard_workers(&self) -> usize {
-        self.shard_threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    /// Whether the bodies fan out on the team: the sharded schedule.
+    fn fans_out(&self) -> bool {
+        !self.reference_stepper && !self.plan.is_serial()
     }
 
-    /// The fan-out context for the current cycle: `Arc` clones of the
-    /// shared tables. Rebuilt per fan-out (cheap) because `killed`
-    /// changes between the injection and route fan-outs.
-    fn shared_ctx(&self, now: Cycle) -> Arc<SharedCtx> {
-        Arc::new(SharedCtx {
+    /// Borrows shard `s`'s state, the tables and the fault RNG for a
+    /// body call on the calling thread.
+    fn parts(&mut self, s: usize, now: Cycle) -> (Ctx<'_>, Shard<'_>, &mut SimRng) {
+        let ctx = Ctx {
             now,
-            link_orig: Arc::clone(&self.link_orig),
-            link_head: Arc::clone(&self.link_head),
-            link_ids: Arc::clone(&self.link_ids),
-            out_link: Arc::clone(&self.out_link),
-            in_upstream: Arc::clone(&self.in_upstream),
-            killed: Arc::clone(&self.killed),
-            faults: Arc::clone(&self.faults),
-            routing: Arc::clone(&self.routing),
-            topo: Arc::clone(&self.topo),
+            dense: self.reference_stepper,
+            wiring: &self.wiring,
+            killed: &self.killed,
+            faults: &self.faults,
+            detects: self.cfg.protocol.detects_faults(),
             trace_on: self.trace.enabled(),
             chans: self.cfg.inject_channels,
-        })
+        };
+        let shard = Shard {
+            node_lo: self.plan.range(s).start,
+            links_lo: self.link_bounds[s],
+            routers: self.routers.chunk_mut(s),
+            links: self.links.chunk_mut(s),
+            wake: self.link_wake.chunk_mut(s),
+            injectors: self.injectors.chunk_mut(s),
+            receivers: self.receivers.chunk_mut(s),
+            router_set: &mut self.router_sets[s],
+            link_set: &mut self.link_sets[s],
+            injector_set: &mut self.injector_sets[s],
+            scratch: &mut self.shard_scratch[s],
+        };
+        (ctx, shard, &mut self.fault_rng)
+    }
+
+    /// Runs `body` once per shard: on the team under the sharded
+    /// schedule, else on the calling thread in shard order.
+    fn run_phase(&mut self, now: Cycle, body: Body) {
+        if self.fans_out() {
+            self.team_fan_out(now, body);
+            return;
+        }
+        for s in 0..self.plan.num_shards() {
+            let (ctx, mut shard, _) = self.parts(s, now);
+            body(&ctx, &mut shard);
+        }
     }
 
     /// Moves shard `s`'s owned state out of the network (to hand to a
-    /// team task). Every take is O(1); the placeholder left behind is
-    /// never observed because the orchestrator blocks on the fan-out.
+    /// team task). The placeholder left behind is never observed
+    /// because the orchestrator blocks on the fan-out.
     fn take_shard(&mut self, s: usize) -> ShardWork {
         ShardWork {
+            node_lo: self.plan.range(s).start,
+            links_lo: self.link_bounds[s],
             routers: self.routers.take_chunk(s),
             links: self.links.take_chunk(s),
             wake: self.link_wake.take_chunk(s),
@@ -228,86 +340,59 @@ impl Network {
         self.shard_scratch[s] = w.scratch;
     }
 
-    /// Runs one fan-out on the persistent team (spawned lazily on
-    /// first use): moves every shard's state into a task, dispatches
-    /// the batch, and moves the results back. `task` must be the pure
-    /// per-shard phase body — it sees only its `ShardWork` and the
-    /// shared context.
-    fn team_fan_out(
-        &mut self,
-        now: Cycle,
-        task: fn(&SharedCtx, &mut ShardWork, usize, usize),
-    ) {
+    /// Runs `body` for every shard on the persistent team (spawned on
+    /// first use, its width resolved once then) and moves each shard's
+    /// state back.
+    fn team_fan_out(&mut self, now: Cycle, body: Body) {
         let num_shards = self.plan.num_shards();
-        let ctx = self.shared_ctx(now);
+        let shared = Arc::new(SharedCtx {
+            now,
+            wiring: Arc::clone(&self.wiring),
+            killed: Arc::clone(&self.killed),
+            faults: Arc::clone(&self.faults),
+            detects: self.cfg.protocol.detects_faults(),
+            trace_on: self.trace.enabled(),
+            chans: self.cfg.inject_channels,
+        });
         let mut tasks = Vec::with_capacity(num_shards);
         for s in 0..num_shards {
-            let ctx = Arc::clone(&ctx);
+            let shared = Arc::clone(&shared);
             let mut work = self.take_shard(s);
-            let node_lo = self.plan.range(s).start;
-            let links_lo = self.link_bounds[s];
             tasks.push(move || {
-                task(&ctx, &mut work, node_lo, links_lo);
+                body(&shared.ctx(), &mut work.view());
                 work
             });
         }
-        drop(ctx);
-        let workers = self.shard_workers().min(num_shards);
-        let team = self.team.get_or_insert_with(|| pool::Team::new(workers));
+        drop(shared);
+        let threads = self.shard_threads;
+        let team = self.team.get_or_insert_with(|| {
+            let workers = threads
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+            pool::Team::new(workers.min(num_shards))
+        });
         let results = team.run(tasks);
         for (s, work) in results.into_iter().enumerate() {
             self.put_shard(s, work);
         }
     }
 
-    /// One cycle of the sharded stepper: the serial phase list with
-    /// arrivals, injection, routing and traversal fanned out per
-    /// shard. Byte-identical to `Network::step`'s serial active path.
-    pub(super) fn step_sharded(&mut self, now: Cycle) {
-        self.sharded_arrivals(now);
-        self.phase_tokens(now);
-        if let Some(threshold) = self.cfg.path_wide_threshold {
-            // Walks the per-shard router sets in shard order (global
-            // ascending) on the orchestrator: kills are rare and walk
-            // cross-shard teardown chains, so they stay serial.
-            self.phase_path_wide_active(now, threshold);
-        }
-        self.phase_traffic(now);
-        self.sharded_injection(now);
-        self.sharded_route_and_traverse(now);
-    }
-
     // --------------------------------------------------------------
     // Arrivals
     // --------------------------------------------------------------
 
-    /// Whether this cycle's arrivals can run as parallel shard tasks:
-    /// true exactly when no arrival can draw the fault RNG or kill a
-    /// worm *this cycle*, so per-link work is confined to the link and
-    /// its (shard-owned) destination router.
+    /// Whether this cycle's arrivals can fan out: true exactly when no
+    /// arrival can draw the fault RNG or detect a corruption *this
+    /// cycle* (DESIGN.md §12 has the case analysis). Evaluated every
+    /// cycle against the live fault model, which churn and the check
+    /// API change mid-run:
     ///
-    /// Evaluated every cycle against the live fault model — churn and
-    /// the check API flip it mid-run — cheap in the common cases (a
-    /// couple of field reads; the per-dead-link scan only runs for
-    /// detecting protocols with faults present):
-    ///
-    /// * Transient corruption draws RNG on every arrival: serial.
-    /// * Non-detecting protocols never detect, kill, or draw the
-    ///   detection RNG — corruption itself is a deterministic flag
-    ///   flip on the shard-owned flit: parallel.
-    /// * Detecting protocols with no dead link now and none ever:
-    ///   nothing is corrupted, detection never fires: parallel.
-    /// * A nonzero detection-miss rate may have let a corrupted flit
-    ///   survive a past dead-link arrival and roam (`ever_dead`), and
-    ///   its eventual arrival anywhere draws the detection RNG:
-    ///   serial from the first kill onward.
-    /// * Miss rate zero: corrupted flits never survive their
-    ///   corrupting arrival, so only a *currently* dead link with a
-    ///   flit due this cycle (`wake <= now`; wakes are never
-    ///   stale-late) can fire detection — detection kills walk
-    ///   cross-shard teardown chains, so such cycles run serial. FCR
-    ///   storms therefore fan out on every cycle where no dead link
-    ///   has a due flit, which is most of them.
+    /// * transient corruption draws the RNG on every arrival;
+    /// * non-detecting protocols never detect, so corruption is a flag
+    ///   flip on the shard-owned flit;
+    /// * with a nonzero miss rate, a corrupted flit may still roam once
+    ///   any link has been dead (`ever_dead`);
+    /// * with a zero miss rate, only a dead link with a flit due now
+    ///   can detect (wakes are never stale-late).
     fn arrivals_parallel_ok(&self, now: Cycle) -> bool {
         if self.faults.transient_rate() != 0.0 {
             return false;
@@ -331,17 +416,83 @@ impl Network {
         true
     }
 
-    fn sharded_arrivals(&mut self, now: Cycle) {
-        if !self.arrivals_parallel_ok(now) {
-            self.phase_arrivals_active(now);
-            return;
+    /// The arrivals phase: fan-out when the gate allows it, else the
+    /// serial walk over every candidate link in global original-index
+    /// order (all links under the dense schedule, the drained active
+    /// sets otherwise).
+    pub(super) fn phase_arrivals(&mut self, now: Cycle) {
+        if self.fans_out() && self.arrivals_parallel_ok(now) {
+            self.team_fan_out(now, arrivals_fan_out);
+        } else {
+            let mut ids = std::mem::take(&mut self.ids_scratch);
+            ids.clear();
+            if self.reference_stepper {
+                ids.extend_from_slice(&self.link_perm);
+            } else {
+                for set in &mut self.link_sets {
+                    set.drain_sorted_into(&mut ids);
+                }
+                if self.link_sets.len() > 1 {
+                    // Per-shard drains are sorted by permuted index;
+                    // the walk goes by original index.
+                    let orig = &self.wiring.link_orig;
+                    ids.sort_unstable_by_key(|&pi| orig[pi as usize]);
+                }
+            }
+            self.arrivals_walk(now, &ids);
+            self.ids_scratch = ids;
         }
-        self.team_fan_out(now, arrivals_task);
+        self.apply_all_scratch(now);
+    }
+
+    /// Runs the arrivals body over `ids` (permuted link indices in
+    /// global original order) on the calling thread, one run of
+    /// same-shard links at a time, resolving each detection stop
+    /// before resuming at the stopped link and lane.
+    fn arrivals_walk(&mut self, now: Cycle, ids: &[u32]) {
+        let (mut at, mut lane) = (0, 0);
+        while at < ids.len() {
+            let s = self.link_shard[ids[at] as usize];
+            let run = if self.link_sets.len() == 1 {
+                ids.len() - at
+            } else {
+                ids[at..]
+                    .iter()
+                    .take_while(|&&pi| self.link_shard[pi as usize] == s)
+                    .count()
+            };
+            let stop = {
+                let (ctx, mut shard, rng) = self.parts(usize::from(s), now);
+                arrivals(&ctx, &mut shard, Some(rng), &ids[at..at + run], lane)
+            };
+            match stop {
+                None => {
+                    at += run;
+                    lane = 0;
+                }
+                Some(d) => {
+                    at += d.pos;
+                    lane = d.lane;
+                    // Everything buffered so far lands first, so the
+                    // kill sees exactly the state a flat scan would.
+                    self.apply_all_scratch(now);
+                    self.trace.emit(|| Event::CorruptionDetected {
+                        at: now,
+                        link: d.link,
+                        message: d.worm.message,
+                        attempt: d.worm.attempt,
+                    });
+                    self.kill_worm_at(now, d.node, d.port, d.vc, d.worm, KillCause::Fault);
+                }
+            }
+        }
+    }
+
+    /// The arrivals and route barrier: every shard's credits, counter
+    /// deltas and events, in shard order.
+    fn apply_all_scratch(&mut self, now: Cycle) {
         for s in 0..self.plan.num_shards() {
-            let mut scratch = std::mem::take(&mut self.shard_scratch[s]);
-            self.apply_shard_credits(&mut scratch);
-            self.apply_shard_deltas(now, &mut scratch);
-            self.shard_scratch[s] = scratch;
+            self.apply_scratch(now, s);
         }
     }
 
@@ -349,25 +500,21 @@ impl Network {
     // Injection
     // --------------------------------------------------------------
 
-    fn sharded_injection(&mut self, now: Cycle) {
-        self.team_fan_out(now, injection_task);
+    pub(super) fn phase_injection(&mut self, now: Cycle) {
+        self.run_phase(now, injection);
         for s in 0..self.plan.num_shards() {
-            let mut scratch = std::mem::take(&mut self.shard_scratch[s]);
-            // Serial order per injector: Kill event (buffered in
-            // `events`), registry insert, forward token push. Nothing
-            // in this phase reads the registry or the token lists, so
-            // grouping the applies per kind is state-identical.
-            for i in 0..scratch.kills.len() {
-                let worm = scratch.kills[i];
-                super::debug_worm(worm, || {
-                    format!("{now} KILL {worm} cause SourceTimeout (sharded)")
-                });
+            // Per injector the order is Kill event (buffered),
+            // registry insert, forward token push. Nothing in this
+            // phase reads the registry or the token lists, so applying
+            // per kind is state-identical.
+            let mut kills = std::mem::take(&mut self.shard_scratch[s].kills);
+            for &worm in &kills {
                 self.killed_mut().insert(worm, now);
             }
-            scratch.kills.clear();
-            self.fwd_tokens.append(&mut scratch.tokens);
-            self.apply_shard_deltas(now, &mut scratch);
-            self.shard_scratch[s] = scratch;
+            kills.clear();
+            self.shard_scratch[s].kills = kills;
+            self.fwd_tokens.append(&mut self.shard_scratch[s].tokens);
+            self.apply_scratch(now, s);
         }
     }
 
@@ -375,29 +522,19 @@ impl Network {
     // Routing + switch traversal
     // --------------------------------------------------------------
 
-    fn sharded_route_and_traverse(&mut self, now: Cycle) {
-        // Fan-out 1: routing/VC-allocation, then orphan-credit
-        // collection, per shard (the serial sub-stage barrier between
-        // the two only orders router-local state).
-        self.team_fan_out(now, route_task);
-        // Barrier: orphan credits must be visible before any traversal
-        // reads its credit counters (the serial sub-stage order).
-        for s in 0..self.plan.num_shards() {
-            let mut scratch = std::mem::take(&mut self.shard_scratch[s]);
-            self.apply_shard_credits(&mut scratch);
-            apply_delta(&mut self.live_flits, scratch.live_delta);
-            scratch.live_delta = 0;
-            self.shard_scratch[s] = scratch;
-        }
-        // Fan-out 2: switch traversal over the same drained id lists.
-        self.team_fan_out(now, traverse_task);
+    pub(super) fn phase_route_and_traverse(&mut self, now: Cycle) {
+        // Routing/VC-allocation and orphan-credit collection; the
+        // orphan credits must land before any traversal reads its
+        // credit counters.
+        self.run_phase(now, route);
+        self.apply_all_scratch(now);
+        self.run_phase(now, traverse);
         // Traverse barrier, in shard order: link pushes (the
-        // cross-shard flit handoff, applied in the exact serial
-        // order: routers ascending, traversals in emission order),
-        // then deliveries with all their side effects, then the
-        // deferred credits, then counter deltas. Pushes, deliveries
-        // and credits touch disjoint state, so their relative grouping
-        // cannot be observed.
+        // cross-shard flit handoff, in router-ascending emission
+        // order), then deliveries with all their side effects, then
+        // the deferred credits and counter deltas. Pushes, deliveries
+        // and credits touch disjoint state, so their grouping cannot
+        // be observed.
         let channel_latency = self.cfg.channel_latency;
         let warmup = self.cfg.warmup;
         for s in 0..self.plan.num_shards() {
@@ -417,73 +554,68 @@ impl Network {
             scratch.push_li.clear();
             scratch.push_vc.clear();
             scratch.push_flit.clear();
-            for i in 0..scratch.delivered.len() {
-                let m = scratch.delivered[i];
-                self.counters.messages_delivered += 1;
-                self.counters.payload_flits_delivered += u64::from(m.payload_len);
-                if m.corrupt {
-                    self.counters.corrupt_payload_delivered += 1;
-                }
-                self.latency.record(m.created, now);
-                self.throughput.record_flits(now, m.payload_len as usize);
-                self.trace.emit(|| Event::Deliver {
-                    at: now,
-                    src: m.src,
-                    dst: m.dst,
-                    message: m.id,
-                    attempts: m.attempts,
-                    latency: now.saturating_since(m.created),
-                });
-                if let Some((sn, sc)) = self.source_of(m.id) {
-                    self.worm_sources[m.id.as_u64() as usize] = SOURCE_GONE;
-                    self.injector_on_delivered(sn, sc, m.id);
-                }
-                if self.record_deliveries {
-                    self.delivery_log.push(m);
-                }
+            for m in scratch.delivered.drain(..) {
+                self.deliver(now, m);
             }
-            scratch.delivered.clear();
-            self.apply_shard_credits(&mut scratch);
-            self.apply_shard_deltas(now, &mut scratch);
             self.shard_scratch[s] = scratch;
+            self.apply_scratch(now, s);
         }
-        // The serial stepper emits every finished stall streak after
-        // every delivery, so the streak events drain in a second pass.
+        // Every finished stall streak is emitted after every delivery.
         for s in 0..self.plan.num_shards() {
-            let mut scratch = std::mem::take(&mut self.shard_scratch[s]);
-            for ev in scratch.streak_events.drain(..) {
+            for ev in self.shard_scratch[s].streak_events.drain(..) {
                 self.trace.emit(|| ev);
             }
-            self.shard_scratch[s] = scratch;
         }
     }
 
-    // --------------------------------------------------------------
-    // Barrier helpers
-    // --------------------------------------------------------------
+    /// The side effects of one completed message.
+    fn deliver(&mut self, now: Cycle, m: DeliveredMessage) {
+        self.counters.messages_delivered += 1;
+        self.counters.payload_flits_delivered += u64::from(m.payload_len);
+        if m.corrupt {
+            self.counters.corrupt_payload_delivered += 1;
+        }
+        self.latency.record(m.created, now);
+        self.throughput.record_flits(now, m.payload_len as usize);
+        self.trace.emit(|| Event::Deliver {
+            at: now,
+            src: m.src,
+            dst: m.dst,
+            message: m.id,
+            attempts: m.attempts,
+            latency: now.saturating_since(m.created),
+        });
+        if let Some((sn, sc)) = self.source_of(m.id) {
+            self.worm_sources[m.id.as_u64() as usize] = SOURCE_GONE;
+            self.injector_on_delivered(sn, sc, m.id);
+        }
+        if self.record_deliveries {
+            self.delivery_log.push(m);
+        }
+    }
 
-    /// Commits a shard's buffered upstream credit returns. Credits
-    /// are commutative increments, so shard order equals the serial
-    /// interleaving.
-    fn apply_shard_credits(&mut self, scratch: &mut ShardScratch) {
+    /// Commits shard `s`'s buffered credit returns, counter deltas,
+    /// progress flag and trace events. Credits are commutative
+    /// increments and counters plain sums, so shard order equals any
+    /// serial interleaving.
+    fn apply_scratch(&mut self, now: Cycle, s: usize) {
+        let scratch = &mut self.shard_scratch[s];
         for &(up_node, up_out, vc) in &scratch.credits {
             self.routers[up_node as usize].add_credit(up_out, vc);
         }
         scratch.credits.clear();
-    }
-
-    /// Commits a shard's counter deltas, progress flag and buffered
-    /// trace events.
-    fn apply_shard_deltas(&mut self, now: Cycle, scratch: &mut ShardScratch) {
         self.counters.merge(&scratch.counters);
         scratch.counters = NetCounters::default();
-        apply_delta(&mut self.live_flits, scratch.live_delta);
-        scratch.live_delta = 0;
-        apply_delta(&mut self.undrained_injectors, scratch.undrained_delta);
-        scratch.undrained_delta = 0;
-        if scratch.progress {
+        apply_delta(
+            &mut self.live_flits,
+            std::mem::take(&mut scratch.live_delta),
+        );
+        apply_delta(
+            &mut self.undrained_injectors,
+            std::mem::take(&mut scratch.undrained_delta),
+        );
+        if std::mem::take(&mut scratch.progress) {
             self.last_progress = now;
-            scratch.progress = false;
         }
         for ev in scratch.events.drain(..) {
             self.trace.emit(|| ev);
@@ -491,113 +623,179 @@ impl Network {
     }
 }
 
-/// Arrivals for one shard: the serial `scan_link_arrivals` specialized
-/// to the quiet-cycle gate (no RNG draw, no kill, no trace event),
-/// walking the shard's links ascending.
-fn arrivals_task(ctx: &SharedCtx, work: &mut ShardWork, node_lo: usize, links_lo: usize) {
-    let now = ctx.now;
-    let mut ids = std::mem::take(&mut work.scratch.ids);
+// ------------------------------------------------------------------
+// Phase bodies
+// ------------------------------------------------------------------
+
+/// Arrivals for one shard on the team: the drained link set, no fault
+/// RNG, and (by the gate) no detection stop.
+fn arrivals_fan_out(ctx: &Ctx<'_>, sh: &mut Shard<'_>) {
+    let mut ids = std::mem::take(&mut sh.scratch.ids);
     ids.clear();
-    work.link_set.drain_sorted_into(&mut ids);
-    for &pi32 in &ids {
+    sh.link_set.drain_sorted_into(&mut ids);
+    let stop = arrivals(ctx, sh, None, &ids, 0);
+    debug_assert!(stop.is_none(), "detection on a fan-out arrivals cycle");
+    sh.scratch.ids = ids;
+}
+
+/// Delivers every due flit of links `ids` (permuted indices, all of
+/// this shard) into their destination routers — fault injection,
+/// killed-worm filtering, corruption detection, acceptance — and
+/// re-arms the links still holding flits. The first link's scan starts
+/// at lane `first_lane` (a resumed scan).
+///
+/// `rng` is the fault RNG; `None` on fan-out cycles, where the gate
+/// has proved no arrival draws it. A detected corruption stops the
+/// scan and returns where it stopped; the detected flit is already
+/// dropped and its credit buffered.
+fn arrivals(
+    ctx: &Ctx<'_>,
+    sh: &mut Shard<'_>,
+    mut rng: Option<&mut SimRng>,
+    ids: &[u32],
+    first_lane: usize,
+) -> Option<Detected> {
+    debug_assert!(rng.is_some() || ctx.faults.transient_rate() == 0.0);
+    let now = ctx.now;
+    let mut from_lane = first_lane;
+    for (pos, &pi32) in ids.iter().enumerate() {
+        let first = std::mem::take(&mut from_lane);
         let pi = pi32 as usize;
-        let local = pi - links_lo;
-        if work.links[local].occupied == 0 {
+        let local = pi - sh.links_lo;
+        if sh.links[local].occupied == 0 {
             continue; // purged empty since it was armed
         }
-        if work.wake[local] > now {
-            work.link_set.insert(pi32);
+        if sh.wake[local] > now {
+            // Nothing due yet: every lane peek would break at once.
+            sh.link_set.insert(pi32);
             continue;
         }
-        let li = ctx.link_orig[pi] as usize;
-        let (dst_node, dst_port) = ctx.link_head[li];
-        let dst_local = dst_node - node_lo;
-        let link_dead = ctx.faults.is_dead(ctx.link_ids[li]);
-        for v in 0..work.links[local].lanes.len() {
+        let li = ctx.wiring.link_orig[pi] as usize;
+        let (dst_node, dst_port) = ctx.wiring.link_head[li];
+        let dst = dst_node - sh.node_lo;
+        let link = ctx.wiring.link_ids[li];
+        let link_dead = ctx.faults.is_dead(link);
+        for v in first..sh.links[local].lanes.len() {
             let vc = VcId::from_index(v);
             loop {
-                let killed = match work.links[local].lanes[v].front() {
+                // Wormhole channels are stall-holding: a flit stays in
+                // the channel's pipeline latches while the downstream
+                // buffer is full (the `link_depth` share of the
+                // credits covers exactly this occupancy).
+                let killed = match sh.links[local].lanes[v].front() {
                     Some(&(arrive, ref flit)) if arrive <= now => {
                         let killed = ctx.killed.contains(flit.worm);
-                        if !killed && work.routers[dst_local].vc_is_full(dst_port, vc) {
+                        if !killed && sh.routers[dst].vc_is_full(dst_port, vc) {
                             break;
                         }
                         killed
                     }
                     _ => break,
                 };
-                let Some((_, mut flit)) = work.links[local].lanes[v].pop_front() else {
+                let Some((_, mut flit)) = sh.links[local].lanes[v].pop_front() else {
                     break; // unreachable: front() just succeeded
                 };
-                work.links[local].occupied -= 1;
+                sh.links[local].occupied -= 1;
                 flit.hops = flit.hops.saturating_add(1);
-                if link_dead {
-                    // Dead link on a parallel cycle: the gate proves
-                    // the protocol is non-detecting (a detecting
-                    // protocol with a due flit on a dead link forces
-                    // serial), so the flit is corrupted and carried on
-                    // — the integrity-violation baseline.
+
+                // Dead links corrupt every flit (the detectable-failure
+                // model); healthy links at the transient rate.
+                if link_dead
+                    || rng
+                        .as_deref_mut()
+                        .is_some_and(|r| ctx.faults.corrupts_flit(r))
+                {
                     if !flit.corrupted {
-                        work.scratch.counters.flits_corrupted += 1;
+                        sh.scratch.counters.flits_corrupted += 1;
                     }
                     flit.corrupted = true;
                 }
+
+                // `killed` is still current: nothing between the peek
+                // and here touches the registry.
                 if killed {
-                    work.scratch.counters.flits_dropped_killed += 1;
-                    work.scratch.live_delta -= 1;
-                    ctx.buffer_credit(&mut work.scratch, dst_node, dst_port, vc);
+                    drop_arrival(ctx, sh.scratch, dst_node, dst_port, vc);
                     continue;
                 }
-                work.routers[dst_local].accept(now, dst_port, vc, flit);
-                work.router_set.insert(crate::network::idx32(dst_node));
-                work.scratch.progress = true;
+                if flit.corrupted && ctx.detects {
+                    if rng
+                        .as_deref_mut()
+                        .is_none_or(|r| ctx.faults.detects_corruption(r))
+                    {
+                        drop_arrival(ctx, sh.scratch, dst_node, dst_port, vc);
+                        return Some(Detected {
+                            pos,
+                            lane: v,
+                            node: dst_node,
+                            port: dst_port,
+                            vc,
+                            worm: flit.worm,
+                            link,
+                        });
+                    }
+                    sh.scratch.counters.detections_missed += 1;
+                }
+
+                sh.routers[dst].accept(now, dst_port, vc, flit);
+                sh.router_set.insert(idx32(dst_node));
+                sh.scratch.progress = true;
             }
         }
-        if work.links[local].occupied > 0 {
-            if let Some(wake) = work.links[local]
+        if sh.links[local].occupied > 0 {
+            if let Some(wake) = sh.links[local]
                 .lanes
                 .iter()
                 .filter_map(|lane| lane.front().map(|&(arrive, _)| arrive))
                 .min()
             {
-                work.wake[local] = wake;
+                sh.wake[local] = wake;
             }
-            work.link_set.insert(pi32);
+            sh.link_set.insert(pi32);
         }
     }
-    work.scratch.ids = ids;
+    None
 }
 
-/// Injection for one shard: the serial `step_injector_one` with the
-/// source-timeout kill path inlined (a source kill only touches the
-/// worm's own node — flush at the inject port releases no upstream
-/// credit — plus the buffered registry insert and forward token).
-fn injection_task(ctx: &SharedCtx, work: &mut ShardWork, node_lo: usize, _links_lo: usize) {
+/// Drops an arriving flit of a dead worm: it leaves the network and
+/// its credit returns upstream.
+fn drop_arrival(ctx: &Ctx<'_>, scratch: &mut ShardScratch, node: usize, port: PortId, vc: VcId) {
+    scratch.counters.flits_dropped_killed += 1;
+    scratch.live_delta -= 1;
+    ctx.buffer_credit(scratch, node, port, vc);
+}
+
+/// Injection for one shard, ascending flat injector id. A source
+/// timeout kill only touches the worm's own node (the flush at the
+/// inject port releases no upstream credit and has no feeding link);
+/// its registry insert and forward token are buffered.
+fn injection(ctx: &Ctx<'_>, sh: &mut Shard<'_>) {
     let now = ctx.now;
     let chans = ctx.chans;
-    let mut ids = std::mem::take(&mut work.scratch.ids);
-    ids.clear();
-    work.injector_set.drain_sorted_into(&mut ids);
+    let mut ids = std::mem::take(&mut sh.scratch.ids);
+    let range = sh.node_lo * chans..(sh.node_lo + sh.routers.len()) * chans;
+    visit(ctx.dense, sh.injector_set, range, &mut ids);
     for &id in &ids {
         let (n, c) = (id as usize / chans, id as usize % chans);
-        let local = n - node_lo;
-        let out = work.injectors[local][c].step(now, &mut work.routers[local]);
+        let local = n - sh.node_lo;
+        // `step` is a no-op that draws no RNG whenever the injector
+        // has no step work — the active schedule's skip condition.
+        let out = sh.injectors[local][c].step(now, &mut sh.routers[local]);
         if out.injected_flit {
-            work.scratch.progress = true;
-            work.scratch.live_delta += 1;
-            work.router_set.insert(crate::network::idx32(n));
+            sh.scratch.progress = true;
+            sh.scratch.live_delta += 1;
+            sh.router_set.insert(idx32(n));
             if out.injected_pad {
-                work.scratch.counters.pad_flits_injected += 1;
+                sh.scratch.counters.pad_flits_injected += 1;
             } else {
-                work.scratch.counters.payload_flits_injected += 1;
+                sh.scratch.counters.payload_flits_injected += 1;
             }
         }
         if out.restarted {
-            work.scratch.counters.retransmissions += 1;
+            sh.scratch.counters.retransmissions += 1;
         }
         if ctx.trace_on {
             if let Some((worm, dst)) = out.started {
-                work.scratch.events.push(Event::Inject {
+                sh.scratch.events.push(Event::Inject {
                     at: now,
                     src: NodeId::from_index(n),
                     dst,
@@ -606,7 +804,7 @@ fn injection_task(ctx: &SharedCtx, work: &mut ShardWork, node_lo: usize, _links_
                 });
             }
             if let Some(worm) = out.committed {
-                work.scratch.events.push(Event::Commit {
+                sh.scratch.events.push(Event::Commit {
                     at: now,
                     src: NodeId::from_index(n),
                     message: worm.message,
@@ -615,10 +813,10 @@ fn injection_task(ctx: &SharedCtx, work: &mut ShardWork, node_lo: usize, _links_
             }
         }
         if let Some(worm) = out.kill {
-            work.scratch.counters.kills_source_timeout += 1;
-            work.scratch.kills.push(worm);
+            sh.scratch.counters.kills_source_timeout += 1;
+            sh.scratch.kills.push(worm);
             if ctx.trace_on {
-                work.scratch.events.push(Event::Kill {
+                sh.scratch.events.push(Event::Kill {
                     at: now,
                     node: NodeId::from_index(n),
                     message: worm.message,
@@ -626,39 +824,35 @@ fn injection_task(ctx: &SharedCtx, work: &mut ShardWork, node_lo: usize, _links_
                     cause: KillCause::SourceTimeout,
                 });
             }
-            // `flush_and_credit` at an inject port: no upstream
-            // credits, no feeding link to purge.
-            let port = work.routers[local].inject_port(c);
-            let res = work.routers[local].flush_worm(port, VcId::new(0), worm);
-            work.scratch.live_delta -= res.flushed as i64;
-            debug_assert_eq!(work.routers[local].port_kind(port), PortKind::Inject);
+            let port = sh.routers[local].inject_port(c);
+            debug_assert_eq!(sh.routers[local].port_kind(port), PortKind::Inject);
+            let res = sh.routers[local].flush_worm(port, VcId::new(0), worm);
+            sh.scratch.live_delta -= res.flushed as i64;
             match res.released {
                 Some(RouteTarget::Link { port: op, vc: ov }) => {
-                    if let Some(li) = ctx.out_link[n][op.index()] {
-                        let (next_node, next_port) = ctx.link_head[li];
-                        work.scratch.tokens.push(Token {
+                    if let Some(li) = ctx.wiring.out_link[n][op.index()] {
+                        let (node, port) = ctx.wiring.link_head[li];
+                        sh.scratch.tokens.push(Token {
                             worm,
-                            node: next_node,
-                            port: next_port,
+                            node,
+                            port,
                             vc: ov,
                         });
                     }
                 }
-                Some(RouteTarget::Eject { .. }) => work.receivers[local].discard(worm),
+                Some(RouteTarget::Eject { .. }) => sh.receivers[local].discard(worm),
                 None => {}
             }
-            // `injector_on_killed` with the undrained count buffered.
-            let was_drained = work.injectors[local][c].is_drained();
-            let retx = work.injectors[local][c].on_killed(now, worm);
-            match (was_drained, work.injectors[local][c].is_drained()) {
-                (true, false) => work.scratch.undrained_delta += 1,
-                (false, true) => work.scratch.undrained_delta -= 1,
+            let was_drained = sh.injectors[local][c].is_drained();
+            let retx = sh.injectors[local][c].on_killed(now, worm);
+            match (was_drained, sh.injectors[local][c].is_drained()) {
+                (true, false) => sh.scratch.undrained_delta += 1,
+                (false, true) => sh.scratch.undrained_delta -= 1,
                 _ => {}
             }
-            work.injector_set.insert(id);
             if ctx.trace_on {
                 if let Some((attempt, resume_at)) = retx {
-                    work.scratch.events.push(Event::RetransmitScheduled {
+                    sh.scratch.events.push(Event::RetransmitScheduled {
                         at: now,
                         message: worm.message,
                         attempt,
@@ -667,111 +861,114 @@ fn injection_task(ctx: &SharedCtx, work: &mut ShardWork, node_lo: usize, _links_
                 }
             }
         }
-        if work.injectors[local][c].has_step_work() {
-            work.injector_set.insert(id);
+        if sh.injectors[local][c].has_step_work() {
+            sh.injector_set.insert(id);
         }
     }
-    work.scratch.ids = ids;
+    sh.scratch.ids = ids;
 }
 
-/// Routing/VC-allocation plus orphan-credit collection for one shard.
-/// The drained router ids stay in `scratch.ids` for the traverse
-/// fan-out (the serial phase drains the set once for all four
-/// sub-stages).
-fn route_task(ctx: &SharedCtx, work: &mut ShardWork, node_lo: usize, _links_lo: usize) {
-    let now = ctx.now;
-    let mut ids = std::mem::take(&mut work.scratch.ids);
-    ids.clear();
-    work.router_set.drain_sorted_into(&mut ids);
-    let killed = &ctx.killed;
-    let is_killed = |w: WormId| killed.contains(w);
+/// Routing/VC-allocation, then orphan-credit collection, for one
+/// shard. Orphan drops leave the network. The visited router ids stay
+/// in `scratch.ids` for [`traverse`]: nothing in between arms a
+/// router, so the list is complete for both.
+fn route(ctx: &Ctx<'_>, sh: &mut Shard<'_>) {
+    let mut ids = std::mem::take(&mut sh.scratch.ids);
+    let range = sh.node_lo..sh.node_lo + sh.routers.len();
+    visit(ctx.dense, sh.router_set, range, &mut ids);
+    let is_killed = |w: WormId| ctx.killed.contains(w);
     for &n in &ids {
-        let local = n as usize - node_lo;
-        let orphans =
-            work.routers[local].route_and_allocate(now, &*ctx.routing, &*ctx.topo, &is_killed);
-        work.scratch.live_delta -= orphans as i64;
+        let local = n as usize - sh.node_lo;
+        let orphans = sh.routers[local].route_and_allocate(
+            ctx.now,
+            &*ctx.wiring.routing,
+            &*ctx.wiring.topo,
+            &is_killed,
+        );
+        sh.scratch.live_delta -= orphans as i64;
     }
     for &n in &ids {
-        let local = n as usize - node_lo;
-        let orphans = work.routers[local].take_orphan_credits();
-        for (port, vc) in orphans {
-            ctx.buffer_credit(&mut work.scratch, n as usize, port, vc);
+        let local = n as usize - sh.node_lo;
+        for (port, vc) in sh.routers[local].take_orphan_credits() {
+            ctx.buffer_credit(sh.scratch, n as usize, port, vc);
         }
     }
-    work.scratch.ids = ids;
+    sh.scratch.ids = ids;
 }
 
-/// Switch traversal for one shard, over the ids drained by
-/// [`route_task`]: departing flits buffer into the struct-of-arrays
-/// push buffer (links may belong to another shard) or deliver into the
-/// shard's own receivers; upstream credits buffer per the
-/// credit-return latency; finished stall streaks buffer as events.
-fn traverse_task(ctx: &SharedCtx, work: &mut ShardWork, node_lo: usize, _links_lo: usize) {
+/// Switch traversal for one shard over the routers [`route`] visited:
+/// departing flits buffer into the push buffer (their link may belong
+/// to another shard) or deliver into the shard's own receivers;
+/// upstream credits buffer per the credit-return latency; finished
+/// stall streaks buffer as events. Routers still holding flits or an
+/// open streak re-arm.
+fn traverse(ctx: &Ctx<'_>, sh: &mut Shard<'_>) {
     let now = ctx.now;
-    let mut ids = std::mem::take(&mut work.scratch.ids);
-    let mut traversals = std::mem::take(&mut work.scratch.traversals);
-    let killed = &ctx.killed;
-    let is_killed = |w: WormId| killed.contains(w);
+    let mut ids = std::mem::take(&mut sh.scratch.ids);
+    let mut traversals = std::mem::take(&mut sh.scratch.traversals);
+    let is_killed = |w: WormId| ctx.killed.contains(w);
     for &n in &ids {
-        let local = n as usize - node_lo;
+        let local = n as usize - sh.node_lo;
         traversals.clear();
-        work.routers[local].traverse_into(now, &is_killed, &mut traversals);
-        for k in 0..traversals.len() {
-            let t = traversals[k];
-            work.scratch.progress = true;
-            if work.routers[local].port_kind(t.from_port) == PortKind::Node {
-                ctx.buffer_credit(&mut work.scratch, n as usize, t.from_port, t.from_vc);
+        sh.routers[local].traverse_into(now, &is_killed, &mut traversals);
+        for t in &traversals {
+            sh.scratch.progress = true;
+            if sh.routers[local].port_kind(t.from_port) == PortKind::Node {
+                ctx.buffer_credit(sh.scratch, n as usize, t.from_port, t.from_vc);
             }
             match t.target {
                 RouteTarget::Link { port, vc } => {
-                    let Some(li) = ctx.out_link[n as usize][port.index()] else {
+                    let Some(li) = ctx.wiring.out_link[n as usize][port.index()] else {
+                        // Routing only offers connected ports; stay
+                        // loud in debug, drop defensively in release.
                         debug_assert!(false, "route to disconnected port");
                         continue;
                     };
-                    work.scratch.push_li.push(crate::network::idx32(li));
-                    work.scratch.push_vc.push(vc.as_u8());
-                    work.scratch.push_flit.push(t.flit);
+                    sh.scratch.push_li.push(idx32(li));
+                    sh.scratch.push_vc.push(vc.as_u8());
+                    sh.scratch.push_flit.push(t.flit);
                 }
                 RouteTarget::Eject { .. } => {
-                    work.scratch.live_delta -= 1;
+                    // The flit leaves the fabric, delivered or not.
+                    sh.scratch.live_delta -= 1;
                     if ctx.killed.contains(t.flit.worm) {
-                        work.scratch.counters.flits_dropped_killed += 1;
-                        work.receivers[local].discard(t.flit.worm);
+                        sh.scratch.counters.flits_dropped_killed += 1;
+                        sh.receivers[local].discard(t.flit.worm);
                         continue;
                     }
-                    let delivered = work.receivers[local].on_flit(now, t.flit);
-                    work.scratch.delivered.extend(delivered);
+                    let delivered = sh.receivers[local].on_flit(now, t.flit);
+                    sh.scratch.delivered.extend(delivered);
                 }
             }
         }
     }
     if ctx.trace_on {
-        let mut streaks = std::mem::take(&mut work.scratch.streaks);
+        // Routers only record streaks while tracing (the per-cause
+        // counters are always on), so this drain is trace-gated too.
+        let mut streaks = std::mem::take(&mut sh.scratch.streaks);
         for &n in &ids {
-            let local = n as usize - node_lo;
             streaks.clear();
-            work.routers[local].drain_streaks_into(&mut streaks);
+            sh.routers[n as usize - sh.node_lo].drain_streaks_into(&mut streaks);
             for st in &streaks {
-                if let Some(li) = ctx.out_link[n as usize][st.port.index()] {
-                    work.scratch.streak_events.push(Event::LinkStall {
+                if let Some(li) = ctx.wiring.out_link[n as usize][st.port.index()] {
+                    sh.scratch.streak_events.push(Event::LinkStall {
                         at: st.since,
-                        link: ctx.link_ids[li],
+                        link: ctx.wiring.link_ids[li],
                         cause: st.cause,
                         cycles: st.cycles,
                     });
                 }
             }
         }
-        work.scratch.streaks = streaks;
+        sh.scratch.streaks = streaks;
     }
     for &n in &ids {
-        let local = n as usize - node_lo;
-        let r = &work.routers[local];
+        let r = &sh.routers[n as usize - sh.node_lo];
         if r.total_occupancy() > 0 || r.has_open_streaks() {
-            work.router_set.insert(n);
+            sh.router_set.insert(n);
         }
     }
     ids.clear();
-    work.scratch.ids = ids;
-    work.scratch.traversals = traversals;
+    sh.scratch.ids = ids;
+    sh.scratch.traversals = traversals;
 }

@@ -33,7 +33,6 @@ pub const PANIC_RULE_FILES: &[&str] = &[
     "crates/core/src/receiver.rs",
     "crates/core/src/killmap.rs",
     "crates/router/src/router.rs",
-    "crates/sim/src/fifo.rs",
     "crates/sim/src/sched.rs",
     "crates/sim/src/shard.rs",
     "crates/faults/src/lib.rs",
@@ -57,7 +56,6 @@ pub const NARROWING_RULE_FILES: &[&str] = &[
     "crates/core/src/killmap.rs",
     "crates/core/src/check_api.rs",
     "crates/router/src/router.rs",
-    "crates/sim/src/fifo.rs",
     "crates/sim/src/sched.rs",
     "crates/sim/src/shard.rs",
     "crates/faults/src/lib.rs",

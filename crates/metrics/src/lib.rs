@@ -8,8 +8,6 @@
 //! * [`LatencyRecorder`] — warmup-aware message-latency collection.
 //! * [`ThroughputMeter`] — accepted-traffic measurement, normalized to
 //!   flits per node per cycle like the paper's throughput axes.
-//! * [`BatchMeans`] — batch-means confidence intervals for steady-state
-//!   simulation output.
 //!
 //! # Examples
 //!
@@ -33,13 +31,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod histogram;
 mod latency;
 mod stats;
 mod throughput;
 
-pub use batch::BatchMeans;
 pub use histogram::Histogram;
 pub use latency::LatencyRecorder;
 pub use stats::OnlineStats;

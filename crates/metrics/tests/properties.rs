@@ -1,6 +1,6 @@
 //! Property-based tests for the statistics plumbing.
 
-use cr_metrics::{BatchMeans, Histogram, LatencyRecorder, OnlineStats, ThroughputMeter};
+use cr_metrics::{Histogram, LatencyRecorder, OnlineStats, ThroughputMeter};
 use cr_sim::check::{check, Config};
 use cr_sim::Cycle;
 
@@ -114,22 +114,5 @@ fn latency_recorder_filters_and_averages() {
             let mean = kept.iter().sum::<f64>() / kept.len() as f64;
             assert!((r.mean() - mean).abs() < 1e-9);
         }
-    });
-}
-
-/// Batch means: the overall mean is exact regardless of batch
-/// boundaries, and the number of batches matches.
-#[test]
-fn batch_means_mean_is_exact() {
-    check("batch_means_mean_is_exact", Config::default(), |src| {
-        let xs = src.vec_with(1..200, |s| s.f64_in(-100.0, 100.0));
-        let batch = src.usize_in(1..32);
-        let mut bm = BatchMeans::new(batch);
-        for &x in &xs {
-            bm.push(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        assert!((bm.mean() - mean).abs() < 1e-9);
-        assert_eq!(bm.num_batches(), (xs.len() / batch) as u64);
     });
 }

@@ -19,14 +19,16 @@ use cr_router::{
 };
 use cr_sim::check::{check, Config, Source};
 use cr_sim::trace::StallCause;
-use cr_sim::{Cycle, Fifo, MessageId, NodeId, PortId, SimRng, VcId};
+use cr_sim::{Cycle, MessageId, NodeId, PortId, SimRng, VcId};
 use cr_topology::{FullMesh, Topology};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 
 #[derive(Debug)]
 struct InputVc {
-    buf: Fifo<Flit>,
+    buf: VecDeque<Flit>,
+    /// Buffer capacity in flits.
+    depth: usize,
     route: Option<RouteTarget>,
     worm: Option<WormId>,
     last_progress: Cycle,
@@ -59,7 +61,8 @@ struct RefRouter {
 impl RefRouter {
     fn new(node: NodeId, cfg: RouterConfig, rng: SimRng) -> Self {
         let input = |depth| InputVc {
-            buf: Fifo::with_capacity(depth),
+            buf: VecDeque::with_capacity(depth),
+            depth,
             route: None,
             worm: None,
             last_progress: Cycle::ZERO,
@@ -99,7 +102,8 @@ impl RefRouter {
         if ivc.buf.is_empty() {
             ivc.last_progress = now;
         }
-        ivc.buf.push(flit).expect("credit violation");
+        assert!(ivc.buf.len() < ivc.depth, "credit violation");
+        ivc.buf.push_back(flit);
     }
 
     fn try_inject(&mut self, now: Cycle, i: usize, flit: Flit) -> bool {
@@ -107,7 +111,11 @@ impl RefRouter {
         if ivc.buf.is_empty() {
             ivc.last_progress = now;
         }
-        ivc.buf.push(flit).is_ok()
+        if ivc.buf.len() == ivc.depth {
+            return false;
+        }
+        ivc.buf.push_back(flit);
+        true
     }
 
     fn route_and_allocate(
@@ -133,7 +141,7 @@ impl RefRouter {
                 continue;
             }
             if !front.is_head() {
-                self.inputs[p][v].buf.pop();
+                self.inputs[p][v].buf.pop_front();
                 orphans_dropped += 1;
                 self.counters.orphan_flits_dropped += 1;
                 if p < self.cfg.num_node_ports {
@@ -237,7 +245,7 @@ impl RefRouter {
                 if ivc.buf.front().is_none_or(|f| f.worm != owner) {
                     continue;
                 }
-                let flit = ivc.buf.pop().expect("front() just succeeded");
+                let flit = ivc.buf.pop_front().expect("front() just succeeded");
                 ivc.last_progress = now;
                 input_used[ip.index()] = true;
                 self.outputs[port][vc].credits -= 1;
@@ -275,7 +283,7 @@ impl RefRouter {
             if is_killed(owner) || ivc.buf.front().is_none_or(|f| f.worm != owner) {
                 continue;
             }
-            let flit = ivc.buf.pop().expect("front() just succeeded");
+            let flit = ivc.buf.pop_front().expect("front() just succeeded");
             ivc.last_progress = now;
             input_used[ip.index()] = true;
             if flit.is_tail() {
@@ -345,7 +353,9 @@ impl RefRouter {
 
     fn flush_worm(&mut self, port: PortId, vc: VcId, worm: WormId) -> (usize, Option<RouteTarget>) {
         let ivc = &mut self.inputs[port.index()][vc.index()];
-        let flushed = ivc.buf.retain(|f| f.worm != worm);
+        let before = ivc.buf.len();
+        ivc.buf.retain(|f| f.worm != worm);
+        let flushed = before - ivc.buf.len();
         self.counters.flits_flushed += flushed as u64;
         let mut released = None;
         if ivc.worm == Some(worm) {

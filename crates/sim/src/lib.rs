@@ -10,8 +10,6 @@
 //!   ([`SimRng`], backed by an in-repo ChaCha8 keystream): every
 //!   experiment in the reproduction is exactly reproducible from a
 //!   single 64-bit seed.
-//! * [`fifo`] — a bounded ring-buffer FIFO ([`Fifo`]) used for flit
-//!   buffers, link pipelines and injection queues.
 //! * [`json`] — a minimal JSON value/writer/parser for result dumps.
 //! * [`check`] — a seeded property-testing mini-framework with
 //!   shrinking, used by the workspace's `tests/properties.rs` suites.
@@ -30,17 +28,11 @@
 //! # Examples
 //!
 //! ```
-//! use cr_sim::{Cycle, Fifo, NodeId, Rng, SimRng};
+//! use cr_sim::{Cycle, NodeId, Rng, SimRng};
 //!
 //! let mut rng = SimRng::from_seed(42);
 //! let node = NodeId::new(rng.gen_range(0..64u32));
 //! assert!(node.index() < 64);
-//!
-//! let mut fifo: Fifo<u32> = Fifo::with_capacity(2);
-//! fifo.push(1).unwrap();
-//! fifo.push(2).unwrap();
-//! assert!(fifo.is_full());
-//! assert_eq!(fifo.pop(), Some(1));
 //!
 //! let t = Cycle::ZERO + 10;
 //! assert_eq!(t.as_u64(), 10);
@@ -52,7 +44,6 @@
 mod chacha;
 pub mod check;
 pub mod cycle;
-pub mod fifo;
 pub mod ids;
 pub mod json;
 pub mod pool;
@@ -62,7 +53,6 @@ pub mod shard;
 pub mod trace;
 
 pub use cycle::Cycle;
-pub use fifo::{Fifo, FifoFullError};
 pub use ids::{LinkId, MessageId, NodeId, PortId, VcId};
 pub use json::Json;
 pub use rng::{Rng, SimRng};

@@ -289,6 +289,11 @@ impl<T> Sharded<T> {
         self.chunks[c] = chunk;
     }
 
+    /// Borrows chunk `c` in place.
+    pub fn chunk_mut(&mut self, c: usize) -> &mut [T] {
+        &mut self.chunks[c]
+    }
+
     /// Iterates all elements in ascending flat order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.chunks.iter().flatten()

@@ -1,70 +1,7 @@
 //! Property-based tests of the simulation substrate.
 
 use cr_sim::check::{check, Config};
-use cr_sim::{Cycle, Fifo, Rng, SimRng};
-use std::collections::VecDeque;
-
-/// Operations for the FIFO model test.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Push(u32),
-    Pop,
-    Clear,
-    RetainEven,
-}
-
-/// `Fifo` behaves exactly like a capacity-checked `VecDeque` under
-/// arbitrary operation sequences.
-#[test]
-fn fifo_matches_vecdeque_model() {
-    check("fifo_matches_vecdeque_model", Config::default(), |src| {
-        let capacity = src.usize_in(1..16);
-        let ops = src.vec_with(0..200, |s| match s.weighted(&[4, 3, 1, 1]) {
-            0 => Op::Push(s.u64_any() as u32),
-            1 => Op::Pop,
-            2 => Op::Clear,
-            _ => Op::RetainEven,
-        });
-        let mut fifo = Fifo::with_capacity(capacity);
-        let mut model: VecDeque<u32> = VecDeque::new();
-        for op in ops {
-            match op {
-                Op::Push(v) => {
-                    let expect_ok = model.len() < capacity;
-                    let got = fifo.push(v);
-                    assert_eq!(got.is_ok(), expect_ok);
-                    if expect_ok {
-                        model.push_back(v);
-                    } else {
-                        assert_eq!(got.unwrap_err().0, v, "rejected item returned");
-                    }
-                }
-                Op::Pop => {
-                    assert_eq!(fifo.pop(), model.pop_front());
-                }
-                Op::Clear => {
-                    let n = fifo.clear();
-                    assert_eq!(n, model.len());
-                    model.clear();
-                }
-                Op::RetainEven => {
-                    let removed = fifo.retain(|x| x % 2 == 0);
-                    let before = model.len();
-                    model.retain(|x| x % 2 == 0);
-                    assert_eq!(removed, before - model.len());
-                }
-            }
-            assert_eq!(fifo.len(), model.len());
-            assert_eq!(fifo.is_empty(), model.is_empty());
-            assert_eq!(fifo.is_full(), model.len() == capacity);
-            assert_eq!(fifo.free(), capacity - model.len());
-            assert_eq!(fifo.front().copied(), model.front().copied());
-            let a: Vec<u32> = fifo.iter().copied().collect();
-            let b: Vec<u32> = model.iter().copied().collect();
-            assert_eq!(a, b);
-        }
-    });
-}
+use cr_sim::{Cycle, Rng, SimRng};
 
 /// Split streams never collide with the parent or each other for
 /// reasonable stream counts, and are reproducible.
