@@ -5,53 +5,14 @@
 //! output) the benches are built on — the workspace has zero external
 //! dependencies, so there is no Criterion here.
 //!
-//! The actual benchmarks live in `benches/`:
-//!
-//! * `figures` — one benchmark per paper artifact (Fig. 9–16, the PDS
-//!   and padding tables, the non-uniform traffic extension), each
-//!   running its experiment at a reduced scale so a full `cargo bench`
-//!   stays tractable. Run any experiment at full paper scale with the
-//!   matching binary in `cr-experiments`
-//!   (e.g. `cargo run --release --bin fig14ab`).
-//! * `microbench` — hot-path microbenchmarks of the simulator itself
-//!   (cycle stepping at several loads and protocols), for tracking
-//!   simulator performance regressions.
+//! The one benchmark, `benches/sweep.rs`, times the CR load sweep
+//! serial and parallel, the `large_*` topology drains and the
+//! `*_sh1`/`*_sh4` shard-scaling pairs. Its results are committed as
+//! `BENCH_sweep.json` and gated by `scripts/bench_compare.sh`. Run any
+//! experiment at full paper scale with the matching binary in
+//! `cr-experiments` (e.g. `cargo run --release --bin fig14ab`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod harness;
-
-use cr_core::{Network, NetworkBuilder, ProtocolKind, RoutingKind};
-use cr_topology::KAryNCube;
-use cr_traffic::{LengthDistribution, TrafficPattern};
-
-/// Builds the small reference network used by the microbenchmarks:
-/// a 4×4 torus with the given protocol, uniform 16-flit traffic at
-/// `load`.
-pub fn reference_network(protocol: ProtocolKind, load: f64) -> Network {
-    let routing = match protocol {
-        ProtocolKind::Baseline => RoutingKind::Dor { lanes: 1 },
-        _ => RoutingKind::Adaptive { vcs: 1 },
-    };
-    NetworkBuilder::new(KAryNCube::torus(4, 2))
-        .routing(routing)
-        .protocol(protocol)
-        .traffic(TrafficPattern::Uniform, LengthDistribution::Fixed(16), load)
-        .warmup(0)
-        .seed(7)
-        .build()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn reference_network_runs() {
-        let mut net = reference_network(ProtocolKind::Cr, 0.2);
-        let report = net.run(500);
-        assert!(!report.deadlocked);
-        assert!(report.counters.messages_delivered > 0);
-    }
-}

@@ -283,7 +283,7 @@ impl ProtocolStep for CheckNet {
         assert_ne!(li, u32::MAX as usize, "unknown link id");
         let (dst, dst_port) = self.net.wiring.link_head[li];
         if let Some((src, src_port)) = self.net.wiring.in_upstream[dst][dst_port.index()] {
-            self.net.routers[src].set_dead_out(src_port);
+            self.net.router_mut(src).set_dead_out(src_port);
         }
     }
 
@@ -293,7 +293,7 @@ impl ProtocolStep for CheckNet {
         assert_ne!(li, u32::MAX as usize, "unknown link id");
         let (dst, dst_port) = self.net.wiring.link_head[li];
         if let Some((src, src_port)) = self.net.wiring.in_upstream[dst][dst_port.index()] {
-            self.net.routers[src].clear_dead_out(src_port);
+            self.net.router_mut(src).clear_dead_out(src_port);
             self.net.arm_router(src);
         }
         self.net.arm_router(dst);
@@ -341,7 +341,7 @@ impl ProtocolStep for CheckNet {
         put_u64(out, net.scheduled.len() as u64);
 
         // --- routers --------------------------------------------------------
-        for r in &net.routers {
+        for r in net.routers() {
             let rc = *r.config();
             for p in 0..rc.num_node_ports + rc.num_inject {
                 let port = PortId::from_index(p);
@@ -387,9 +387,8 @@ impl ProtocolStep for CheckNet {
         // --- links ----------------------------------------------------------
         // Walked in original index order; state lives at the permuted
         // slot (identity under the serial plan CheckNet requires).
-        for li in 0..net.links.len() {
-            let pi = net.link_perm[li] as usize;
-            for lane in &net.links[pi].lanes {
+        for &pi in &net.link_perm {
+            for lane in &net.link(pi as usize).lanes {
                 put_u64(out, lane.len() as u64);
                 for &(arrive, ref f) in lane {
                     // Relative due time; past-due flits (parked in the
@@ -448,10 +447,8 @@ impl ProtocolStep for CheckNet {
         }
 
         // --- endpoints ------------------------------------------------------
-        for chans in &net.injectors {
-            for inj in chans {
-                inj.encode_state(now, out);
-            }
+        for inj in net.injectors() {
+            inj.encode_state(now, out);
         }
         let labels = &self.labels;
         let lookup = move |m: MessageId| {
@@ -460,7 +457,7 @@ impl ProtocolStep for CheckNet {
                 .copied()
                 .unwrap_or((u32::MAX, u32::MAX, u64::MAX))
         };
-        for rx in &net.receivers {
+        for rx in net.receivers() {
             rx.encode_state(now, &lookup, out);
         }
 
@@ -480,17 +477,16 @@ impl ProtocolStep for CheckNet {
         // plus flits on the wire plus flits buffered downstream equals
         // the fixed buffering budget. A leak (sum below budget) bleeds
         // capacity forever; a surplus would overflow buffers.
-        for li in 0..net.links.len() {
+        for (li, &pi) in net.link_perm.iter().enumerate() {
             let (dst, dst_port) = net.wiring.link_head[li];
             let Some((src, src_port)) = net.wiring.in_upstream[dst][dst_port.index()] else {
                 continue;
             };
-            let pi = net.link_perm[li] as usize;
             for v in 0..num_vcs {
                 let vc = VcId::from_index(v);
-                let credits = net.routers[src].credits(src_port, vc);
-                let wire = net.links[pi].lanes[v].len();
-                let buffered = net.routers[dst].occupancy(dst_port, vc);
+                let credits = net.router_at(src).credits(src_port, vc);
+                let wire = net.link(pi as usize).lanes[v].len();
+                let buffered = net.router_at(dst).occupancy(dst_port, vc);
                 if credits + wire + buffered != depth {
                     return Err(format!(
                         "credit leak on link {li} vc {v}: credits {credits} + wire {wire} \
@@ -503,7 +499,7 @@ impl ProtocolStep for CheckNet {
         }
 
         // Buffer bounds.
-        for (n, r) in net.routers.iter().enumerate() {
+        for (n, r) in net.routers().enumerate() {
             let rc = *r.config();
             for p in 0..rc.num_node_ports + rc.num_inject {
                 let port = PortId::from_index(p);

@@ -24,9 +24,13 @@
 //! # One kernel, three schedules
 //!
 //! Arrivals, injection, routing and traversal each have one body,
-//! written against one shard's state, in the kernel module
+//! written against one [`Shard`], in the kernel module
 //! (`network_sharded.rs`); the other phases are serial code on this
-//! type. The three steppers — **serial active** (the default: only the
+//! type. A `Shard` is the only home of per-component state: the
+//! network holds one per contiguous node-id range in `shards`, and
+//! serial code reaches a single router, injector or link through the
+//! `node_shard` / `link_shard` tables (`Network::node_slot`,
+//! `Network::link_slot`). The three steppers — **serial active** (the default: only the
 //! components in the [`ActiveSet`]s, plus cycle fast-forward), **dense
 //! reference** ([`Network::set_reference_stepper`]: every component,
 //! no fast-forward) and **sharded** (`shards > 1`: the active bodies
@@ -44,7 +48,6 @@ use cr_router::{
     Flit, LinkStats, PortKind, RouteTarget, Router, RouterConfig, RoutingFunction, WormId,
 };
 use cr_sim::sched::ActiveSet;
-use cr_sim::shard::Sharded;
 use cr_sim::trace::{Event, KillCause, TraceSink, TraceStats};
 use cr_sim::{Cycle, MessageId, NodeId, PortId, SimRng, VcId};
 use cr_topology::Topology;
@@ -74,6 +77,50 @@ struct LinkState {
     /// Total flits across all lanes, so the per-cycle arrival scan can
     /// skip idle links without touching their lane deques.
     occupied: usize,
+}
+
+/// One shard's slice of the machine, and the only place per-component
+/// state lives: the routers, injectors and receivers of the contiguous
+/// node-id range starting at `node_lo`, every link whose *destination*
+/// lies in that range (the side arrivals mutate), the shard's active
+/// sets and the phase bodies' mutation buffers. A phase body takes a
+/// `&mut Shard`; the team fan-out moves whole shards into its tasks
+/// and back; serial code reaches one component through
+/// [`Network::node_slot`] and [`Network::link_slot`].
+struct Shard {
+    /// First node id owned: node `n` is `routers[n - node_lo]`.
+    node_lo: usize,
+    /// First permuted link index owned: link `pi` is
+    /// `links[pi - links_lo]`.
+    links_lo: usize,
+    routers: Vec<Router>,
+    /// `injectors[local][channel]`.
+    injectors: Vec<Vec<Injector>>,
+    receivers: Vec<Receiver>,
+    links: Vec<LinkState>,
+    /// `wake[local]` = the link's earliest front-of-lane arrival
+    /// estimate. Min-updated on every push; may go stale-*early* after
+    /// purges (harmless: the link is rescanned and the wake recomputed)
+    /// but never stale-late, because pops only raise the true minimum.
+    wake: Vec<Cycle>,
+    // Active sets (DESIGN.md §10), keyed by global ids. The mutation
+    // helpers and the phase bodies maintain them under every schedule,
+    // so they are always a superset of the truly active components;
+    // only the active schedules drain them and drop the stale members.
+    // That keeps a dense->active switch mid-run legal. Shards own
+    // contiguous ranges, so concatenating the per-shard sorted drains
+    // in shard order gives the global ascending order.
+    /// Routers with buffered flits or an open stall streak.
+    router_set: ActiveSet,
+    /// Links with flits in flight or parked in the channel latches,
+    /// keyed by permuted index.
+    link_set: ActiveSet,
+    /// Injectors (flat id `node * inject_channels + channel`) with a
+    /// worm in hand or queued messages.
+    injector_set: ActiveSet,
+    /// The phase bodies' mutation buffers, drained at each phase
+    /// barrier in shard order.
+    scratch: sharded::ShardScratch,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -140,17 +187,13 @@ pub struct Network {
     faults: Arc<FaultModel>,
     timeout: u64,
 
-    // Per-component mutable state is stored in per-shard chunks
-    // ([`Sharded`]) so a shard task can take its chunk by value, work
-    // on it on a team worker, and hand it back — no borrows cross the
-    // thread boundary. Serial code indexes it flat; the phase bodies
-    // borrow one chunk at a time.
-    routers: Sharded<Router>,
-    injectors: Sharded<Vec<Injector>>,
-    receivers: Sharded<Receiver>,
+    /// Every router, injector, receiver and link, with its active
+    /// sets and mutation buffers, one [`Shard`] per contiguous node-id
+    /// range in ascending order. A fan-out moves each shard into a
+    /// team task by value and stores the returned `Vec` back.
+    shards: Vec<Shard>,
     sources: Vec<TrafficSource>,
 
-    links: Sharded<LinkState>,
     /// Inverse of `wiring.link_ids`: `link_by_id[id.index()]` =
     /// original link index (`u32::MAX` for ids the topology never
     /// handed out).
@@ -196,32 +239,6 @@ pub struct Network {
     offered_load: f64,
     fault_rng: SimRng,
 
-    // --- active-set scheduler state (DESIGN.md §10) ---
-    //
-    // The sets are maintained by the shared mutation helpers and the
-    // phase bodies whichever schedule is running, so they are always a
-    // superset of the truly active components; only the active
-    // schedules drain them and drop the stale members. That keeps a
-    // dense->active switch mid-run legal.
-    /// Routers with buffered flits or an open stall streak, one set
-    /// per shard (global node ids; shard ownership is fixed by
-    /// `node_shard`). With one shard this is the PR-5 scheduler state
-    /// unchanged; concatenating the per-shard sorted drains in shard
-    /// order reproduces the global ascending order because shards own
-    /// contiguous node-id ranges.
-    router_sets: Vec<ActiveSet>,
-    /// Links with flits in flight or parked in the channel latches,
-    /// one set per shard, keyed by *permuted* link index (see
-    /// `link_perm`).
-    link_sets: Vec<ActiveSet>,
-    /// Injectors (flat id `node * inject_channels + channel`) with a
-    /// worm in hand or queued messages, one set per shard.
-    injector_sets: Vec<ActiveSet>,
-    /// `link_wake[link]` = earliest front-of-lane arrival estimate.
-    /// Min-updated on every push; may go stale-*early* after purges
-    /// (harmless: the link is rescanned and the wake recomputed) but
-    /// never stale-late, because pops only raise the true minimum.
-    link_wake: Sharded<Cycle>,
     /// Visit-list scratch of the serial arrivals walk and path-wide
     /// detection.
     ids_scratch: Vec<u32>,
@@ -236,25 +253,16 @@ pub struct Network {
     reference_stepper: bool,
 
     // --- spatial sharding state (DESIGN.md §12) ---
-    /// Contiguous node-id partition of the fabric; serial (one shard)
-    /// unless the builder asked for more.
-    plan: cr_sim::shard::Plan,
     /// `node_shard[node]` = owning shard (the plan's owner table).
     node_shard: Vec<u16>,
-    /// `link_perm[orig li]` = permuted index. Link *state* (`links`,
-    /// `link_wake`) is stored grouped by owning shard (the shard of
-    /// the link's **destination** node, which is the side arrivals
-    /// mutate), ascending original index within each shard, so each
-    /// shard's links form one contiguous slice. Identity when serial.
+    /// `link_perm[orig li]` = permuted index. Link state is stored
+    /// grouped by owning shard (the shard of the link's destination
+    /// node), ascending original index within each shard, so shard
+    /// `s` owns the permuted indices from `shards[s].links_lo` on.
+    /// Identity when serial.
     link_perm: Vec<u32>,
-    /// Permuted-index range of shard `s`: `link_bounds[s] ..
-    /// link_bounds[s + 1]`.
-    link_bounds: Vec<usize>,
     /// `link_shard[permuted]` = owning shard.
     link_shard: Vec<u16>,
-    /// Per-shard mutation buffers of the phase bodies, drained at
-    /// each phase barrier in shard order.
-    shard_scratch: Vec<sharded::ShardScratch>,
     /// Worker-thread override for the sharded stepper (tests force >1
     /// on single-core machines); `None` = available parallelism.
     shard_threads: Option<usize>,
@@ -311,24 +319,10 @@ impl Network {
         let n = topo.num_nodes();
         let plan = cr_sim::shard::Plan::from_hint(topo.partition_hint(shards), n, shards);
         let node_shard = plan.owner_table();
-        let num_shards = plan.num_shards();
         let root = SimRng::from_seed(cfg.seed);
         let num_vcs = routing.num_vcs();
-
-        let mut routers = Vec::with_capacity(n);
-        for i in 0..n {
-            let node = NodeId::from_index(i);
-            let rc = RouterConfig {
-                num_node_ports: topo.num_ports(node),
-                num_vcs,
-                buffer_depth: cfg.buffer_depth,
-                num_inject: cfg.inject_channels,
-                inject_depth: cfg.inject_depth,
-                num_eject: cfg.eject_channels,
-                link_depth: cfg.channel_latency as usize,
-            };
-            routers.push(Router::new(node, rc, root.split(1_000 + i as u64)));
-        }
+        let descs = topo.links();
+        let chans = cfg.inject_channels;
 
         // The paper's default timeout: message length x number of VCs.
         // Without traffic we fall back to a generous constant.
@@ -342,36 +336,69 @@ impl Network {
         } else {
             timeout
         };
+        let trace = match cfg.trace_capacity {
+            Some(capacity) => TraceSink::ring(capacity),
+            None => TraceSink::Disabled,
+        };
 
-        let mut injectors: Vec<Vec<Injector>> = Vec::with_capacity(n);
+        let mut shards: Vec<Shard> = (0..plan.num_shards())
+            .map(|s| Shard {
+                node_lo: plan.range(s).start,
+                links_lo: 0,
+                routers: Vec::with_capacity(plan.range(s).len()),
+                injectors: Vec::with_capacity(plan.range(s).len()),
+                receivers: Vec::with_capacity(plan.range(s).len()),
+                links: Vec::new(),
+                wake: Vec::new(),
+                router_set: ActiveSet::new(n),
+                link_set: ActiveSet::new(descs.len()),
+                injector_set: ActiveSet::new(n * chans),
+                scratch: sharded::ShardScratch::default(),
+            })
+            .collect();
         for i in 0..n {
             let node = NodeId::from_index(i);
-            injectors.push(
-                (0..cfg.inject_channels)
+            let sh = &mut shards[usize::from(node_shard[i])];
+            let rc = RouterConfig {
+                num_node_ports: topo.num_ports(node),
+                num_vcs,
+                buffer_depth: cfg.buffer_depth,
+                num_inject: chans,
+                inject_depth: cfg.inject_depth,
+                num_eject: cfg.eject_channels,
+                link_depth: cfg.channel_latency as usize,
+            };
+            let mut router = Router::new(node, rc, root.split(1_000 + i as u64));
+            if trace.enabled() {
+                // Finished link-stall streaks become `LinkStall`
+                // events; with tracing off they are discarded at the
+                // router.
+                router.set_record_streaks(true);
+            }
+            sh.routers.push(router);
+            sh.injectors.push(
+                (0..chans)
                     .map(|c| {
-                        Injector::new(
+                        let mut inj = Injector::new(
                             node,
                             c,
                             cfg.protocol,
                             injector_timeout,
                             cfg.retransmit,
                             root.split(2_000_000 + (i * 64 + c) as u64),
-                        )
+                        );
+                        inj.set_ablations(cfg.ablations);
+                        inj
                     })
                     .collect(),
             );
+            sh.receivers.push(Receiver::new(node));
         }
-        for chans in injectors.iter_mut() {
-            for inj in chans.iter_mut() {
-                inj.set_ablations(cfg.ablations);
-            }
-        }
-        let receivers: Vec<Receiver> =
-            (0..n).map(|i| Receiver::new(NodeId::from_index(i))).collect();
 
-        // Link tables.
-        let descs = topo.links();
-        let mut links = Vec::with_capacity(descs.len());
+        // Link tables. Link *state* lives in the shard of the link's
+        // destination node, ascending original index within a shard,
+        // so each shard's links are one contiguous run of permuted
+        // indices. With one shard the permutation is the identity.
         let mut out_link: Vec<Vec<Option<usize>>> = (0..n)
             .map(|i| vec![None; topo.num_ports(NodeId::from_index(i))])
             .collect();
@@ -381,39 +408,33 @@ impl Network {
             .map(|i| vec![None; topo.num_ports(NodeId::from_index(i))])
             .collect();
         for (idx, d) in descs.iter().enumerate() {
-            links.push(LinkState {
+            let sh = &mut shards[usize::from(node_shard[d.dst.index()])];
+            sh.links.push(LinkState {
                 lanes: (0..num_vcs).map(|_| VecDeque::new()).collect(),
                 occupied: 0,
             });
+            sh.wake.push(Cycle::ZERO);
             out_link[d.src.index()][d.src_port.index()] = Some(idx);
             link_head.push((d.dst.index(), d.dst_port));
             link_ids.push(d.id);
             in_upstream[d.dst.index()][d.dst_port.index()] = Some((d.src.index(), d.src_port));
         }
-
-        // Group link *state* storage by owning shard (the shard of the
-        // destination node), ascending original index within a shard,
-        // so each shard's links are one contiguous mutable slice. With
-        // one shard the permutation is the identity.
-        let mut link_bounds = vec![0usize; num_shards + 1];
-        for d in &descs {
-            link_bounds[node_shard[d.dst.index()] as usize + 1] += 1;
+        let mut at = 0;
+        for sh in &mut shards {
+            sh.links_lo = at;
+            at += sh.links.len();
         }
-        for s in 0..num_shards {
-            link_bounds[s + 1] += link_bounds[s];
-        }
-        let mut next = link_bounds.clone();
+        let mut next: Vec<usize> = shards.iter().map(|sh| sh.links_lo).collect();
         let mut link_perm = vec![0u32; descs.len()];
         let mut link_orig = vec![0u32; descs.len()];
         let mut link_shard = vec![0u16; descs.len()];
         for (idx, d) in descs.iter().enumerate() {
-            let s = node_shard[d.dst.index()] as usize;
-            let pi = next[s];
-            next[s] += 1;
+            let s = node_shard[d.dst.index()];
+            let pi = next[usize::from(s)];
+            next[usize::from(s)] += 1;
             link_perm[idx] = idx32(pi);
             link_orig[pi] = idx32(idx);
-            // cr-lint: allow(integer-narrowing, reason = "s indexes node_shard, whose entries are already u16 shard numbers")
-            link_shard[pi] = s as u16;
+            link_shard[pi] = s;
         }
 
         // `LinkId` -> original link index, for resolving churn firings
@@ -436,70 +457,35 @@ impl Network {
         // marking is state, not a construction-time-only decision.
         for d in &descs {
             if faults.is_dead(d.id) {
-                routers[d.src.index()].set_dead_out(d.src_port);
+                let sh = &mut shards[usize::from(node_shard[d.src.index()])];
+                sh.routers[d.src.index() - sh.node_lo].set_dead_out(d.src_port);
             }
         }
 
         let misroute = cfg.routing.misroute_budget() as usize;
         let registry_lifetime =
             4 * (topo.diameter() + misroute) as u64 + cfg.channel_latency + 64;
-
-        let trace = match cfg.trace_capacity {
-            Some(capacity) => TraceSink::ring(capacity),
-            None => TraceSink::Disabled,
-        };
-        if trace.enabled() {
-            // Finished link-stall streaks become `LinkStall` events;
-            // with tracing off they are discarded at the router.
-            for r in routers.iter_mut() {
-                r.set_record_streaks(true);
-            }
-        }
-
-        // Per-shard chunk sizes for the owned-state stores: nodes by
-        // the plan's contiguous ranges, links by the permuted
-        // per-shard grouping. Every `LinkState` is identical (empty)
-        // at construction, so chunking the original-order vector by
-        // the permuted group sizes is exact.
-        let node_sizes: Vec<usize> = (0..num_shards).map(|s| plan.range(s).len()).collect();
-        let link_sizes: Vec<usize> = (0..num_shards)
-            .map(|s| link_bounds[s + 1] - link_bounds[s])
-            .collect();
         let ever_dead = faults.num_dead_links() > 0;
 
         let warmup = Cycle::new(cfg.warmup);
         Network {
             latency: LatencyRecorder::new(warmup),
             throughput: ThroughputMeter::new(warmup, n),
-            router_sets: (0..num_shards).map(|_| ActiveSet::new(n)).collect(),
-            link_sets: (0..num_shards).map(|_| ActiveSet::new(links.len())).collect(),
-            injector_sets: (0..num_shards)
-                .map(|_| ActiveSet::new(n * cfg.inject_channels))
-                .collect(),
-            link_wake: Sharded::from_flat(vec![Cycle::ZERO; links.len()], &link_sizes),
             ids_scratch: Vec::new(),
             live_flits: 0,
             undrained_injectors: 0,
             reference_stepper: false,
-            shard_scratch: (0..num_shards)
-                .map(|_| sharded::ShardScratch::default())
-                .collect(),
             shard_threads: None,
             team: None,
             ever_dead,
-            plan,
             node_shard,
             link_perm,
-            link_bounds,
             link_shard,
             faults: Arc::new(faults),
             timeout,
-            routers: Sharded::from_flat(routers, &node_sizes),
-            injectors: Sharded::from_flat(injectors, &node_sizes),
-            receivers: Sharded::from_flat(receivers, &node_sizes),
+            shards,
             sources,
-            link_flits: vec![0; links.len()],
-            links: Sharded::from_flat(links, &link_sizes),
+            link_flits: vec![0; descs.len()],
             link_by_id,
             wiring: Arc::new(Wiring {
                 topo,
@@ -593,17 +579,75 @@ impl Network {
 
     /// The router at `node` (for tests and instrumentation).
     pub fn router(&self, node: NodeId) -> &Router {
-        &self.routers[node.index()]
+        self.router_at(node.index())
     }
 
     /// The receiver at `node`.
     pub fn receiver(&self, node: NodeId) -> &Receiver {
-        &self.receivers[node.index()]
+        let (s, l) = self.node_slot(node.index());
+        &self.shards[s].receivers[l]
     }
 
     /// Injection channel `channel` at `node`.
     pub fn injector(&self, node: NodeId, channel: usize) -> &Injector {
-        &self.injectors[node.index()][channel]
+        let (s, l) = self.node_slot(node.index());
+        &self.shards[s].injectors[l][channel]
+    }
+
+    // ------------------------------------------------------------------
+    // Flat access to the shards, for serial code
+    // ------------------------------------------------------------------
+
+    /// The shard owning `node` and the node's index within it.
+    fn node_slot(&self, node: usize) -> (usize, usize) {
+        let s = usize::from(self.node_shard[node]);
+        (s, node - self.shards[s].node_lo)
+    }
+
+    /// The shard owning permuted link `pi` and the link's index
+    /// within it.
+    fn link_slot(&self, pi: usize) -> (usize, usize) {
+        let s = usize::from(self.link_shard[pi]);
+        (s, pi - self.shards[s].links_lo)
+    }
+
+    fn router_at(&self, node: usize) -> &Router {
+        let (s, l) = self.node_slot(node);
+        &self.shards[s].routers[l]
+    }
+
+    fn router_mut(&mut self, node: usize) -> &mut Router {
+        let (s, l) = self.node_slot(node);
+        &mut self.shards[s].routers[l]
+    }
+
+    fn injector_mut(&mut self, node: usize, channel: usize) -> &mut Injector {
+        let (s, l) = self.node_slot(node);
+        &mut self.shards[s].injectors[l][channel]
+    }
+
+    /// The state of permuted link `pi`.
+    fn link(&self, pi: usize) -> &LinkState {
+        let (s, l) = self.link_slot(pi);
+        &self.shards[s].links[l]
+    }
+
+    /// Every router in ascending node order (shards own ascending
+    /// contiguous ranges).
+    fn routers(&self) -> impl Iterator<Item = &Router> {
+        self.shards.iter().flat_map(|sh| &sh.routers)
+    }
+
+    /// Every injector in ascending flat id order.
+    fn injectors(&self) -> impl Iterator<Item = &Injector> {
+        self.shards
+            .iter()
+            .flat_map(|sh| sh.injectors.iter().flatten())
+    }
+
+    /// Every receiver in ascending node order.
+    fn receivers(&self) -> impl Iterator<Item = &Receiver> {
+        self.shards.iter().flat_map(|sh| &sh.receivers)
     }
 
     /// Enables (or disables) logging of every delivered message,
@@ -641,9 +685,9 @@ impl Network {
     /// on or off: entry `i` describes the link whose source router
     /// output port feeds it.
     pub fn link_stall_stats(&self) -> Vec<(cr_sim::LinkId, LinkStats)> {
-        let mut out = vec![(cr_sim::LinkId::new(0), LinkStats::default()); self.links.len()];
-        for (n, ports) in self.wiring.out_link.iter().enumerate() {
-            let stats = self.routers[n].link_stats();
+        let mut out = vec![(cr_sim::LinkId::new(0), LinkStats::default()); self.link_perm.len()];
+        for (ports, router) in self.wiring.out_link.iter().zip(self.routers()) {
+            let stats = router.link_stats();
             for (p, li) in ports.iter().enumerate() {
                 if let (Some(li), Some(s)) = (li, stats.get(p)) {
                     out[*li] = (self.wiring.link_ids[*li], *s);
@@ -658,8 +702,13 @@ impl Network {
     pub fn flits_in_flight(&self) -> usize {
         debug_assert_eq!(
             self.live_flits,
-            self.routers.iter().map(Router::total_occupancy).sum::<usize>()
-                + self.links.iter().map(|l| l.occupied).sum::<usize>(),
+            self.routers().map(Router::total_occupancy).sum::<usize>()
+                + self
+                    .shards
+                    .iter()
+                    .flat_map(|sh| &sh.links)
+                    .map(|l| l.occupied)
+                    .sum::<usize>(),
             "incremental flit count diverged"
         );
         self.live_flits
@@ -685,7 +734,7 @@ impl Network {
     /// serial; the dense reference stepper runs its shards in order on
     /// the calling thread).
     pub fn num_shards(&self) -> usize {
-        self.plan.num_shards()
+        self.shards.len()
     }
 
     /// Overrides the sharded stepper's worker-thread count (`None`,
@@ -710,11 +759,7 @@ impl Network {
     fn is_quiescent(&self) -> bool {
         debug_assert_eq!(
             self.undrained_injectors,
-            self.injectors
-                .iter()
-                .flatten()
-                .filter(|i| !i.is_drained())
-                .count(),
+            self.injectors().filter(|i| !i.is_drained()).count(),
             "incremental undrained-injector count diverged"
         );
         self.live_flits == 0 && self.scheduled.is_empty() && self.undrained_injectors == 0
@@ -722,12 +767,15 @@ impl Network {
 
     /// Marks a router possibly-active (it gained a flit).
     fn arm_router(&mut self, node: usize) {
-        self.router_sets[self.node_shard[node] as usize].insert(idx32(node));
+        self.shards[usize::from(self.node_shard[node])]
+            .router_set
+            .insert(idx32(node));
     }
 
     /// Marks an injector possibly-active (it gained work).
     fn arm_injector(&mut self, node: usize, channel: usize) {
-        self.injector_sets[self.node_shard[node] as usize]
+        self.shards[usize::from(self.node_shard[node])]
+            .injector_set
             .insert(idx32(node * self.cfg.inject_channels + channel));
     }
 
@@ -737,20 +785,21 @@ impl Network {
     /// slot.
     fn push_onto_link(&mut self, li: usize, vc: VcId, arrive: Cycle, flit: Flit) {
         let pi = self.link_perm[li] as usize;
-        self.links[pi].lanes[vc.index()].push_back((arrive, flit));
-        self.links[pi].occupied += 1;
-        if self.link_sets[self.link_shard[pi] as usize].insert(idx32(pi))
-            || arrive < self.link_wake[pi]
-        {
-            self.link_wake[pi] = arrive;
+        let (s, l) = self.link_slot(pi);
+        let sh = &mut self.shards[s];
+        sh.links[l].lanes[vc.index()].push_back((arrive, flit));
+        sh.links[l].occupied += 1;
+        if sh.link_set.insert(idx32(pi)) || arrive < sh.wake[l] {
+            sh.wake[l] = arrive;
         }
     }
 
     /// [`Injector::enqueue`] keeping the undrained counter and the
     /// active set current.
     fn injector_enqueue(&mut self, node: usize, channel: usize, msg: PendingMessage) {
-        let was_drained = self.injectors[node][channel].is_drained();
-        self.injectors[node][channel].enqueue(msg);
+        let inj = self.injector_mut(node, channel);
+        let was_drained = inj.is_drained();
+        inj.enqueue(msg);
         if was_drained {
             self.undrained_injectors += 1;
         }
@@ -767,9 +816,10 @@ impl Network {
         now: Cycle,
         worm: WormId,
     ) -> Option<(u32, Cycle)> {
-        let was_drained = self.injectors[node][channel].is_drained();
-        let retx = self.injectors[node][channel].on_killed(now, worm);
-        match (was_drained, self.injectors[node][channel].is_drained()) {
+        let inj = self.injector_mut(node, channel);
+        let was_drained = inj.is_drained();
+        let retx = inj.on_killed(now, worm);
+        match (was_drained, inj.is_drained()) {
             (true, false) => self.undrained_injectors += 1,
             (false, true) => self.undrained_injectors -= 1,
             _ => {}
@@ -781,9 +831,10 @@ impl Network {
     /// [`Injector::on_delivered`] keeping the undrained counter
     /// current.
     fn injector_on_delivered(&mut self, node: usize, channel: usize, message: MessageId) {
-        let was_drained = self.injectors[node][channel].is_drained();
-        self.injectors[node][channel].on_delivered(message);
-        if !was_drained && self.injectors[node][channel].is_drained() {
+        let inj = self.injector_mut(node, channel);
+        let was_drained = inj.is_drained();
+        inj.on_delivered(message);
+        if !was_drained && inj.is_drained() {
             self.undrained_injectors -= 1;
         }
     }
@@ -967,13 +1018,13 @@ impl Network {
     /// Builds the report for the run so far.
     pub fn report(&self) -> SimReport {
         let mut counters = self.counters;
-        for r in &self.routers {
+        for r in self.routers() {
             counters.escape_allocations += r.counters().escape_allocations;
             counters.unroutable_headers += r.counters().unroutable_headers;
             counters.orphan_flits_dropped += r.counters().orphan_flits_dropped;
             counters.flits_flushed += r.counters().flits_flushed;
         }
-        for rx in &self.receivers {
+        for rx in self.receivers() {
             counters.out_of_order_arrivals += rx.counters().out_of_order_arrivals;
             counters.duplicates_dropped += rx.counters().duplicates_dropped;
             counters.partials_discarded += rx.counters().partials_discarded;
@@ -983,7 +1034,7 @@ impl Network {
             enabled: self.trace.enabled(),
             events_emitted: stats.emitted,
             events_dropped: stats.dropped,
-            links: self.links.len() as u64,
+            links: self.link_perm.len() as u64,
             ..TraceSummary::default()
         };
         let mut totals = LinkStats::default();
@@ -1068,21 +1119,21 @@ impl Network {
                 let li = self.link_by_id[id.index()] as usize;
                 let (dst, dst_port) = self.wiring.link_head[li];
                 if let Some((src, src_port)) = self.wiring.in_upstream[dst][dst_port.index()] {
-                    self.routers[src].set_dead_out(src_port);
+                    let router = self.router_mut(src);
+                    router.set_dead_out(src_port);
                     // Worms holding the upstream output are stranded
                     // mid-transmission by this kill.
                     for v in 0..num_vcs {
                         let vc = VcId::from_index(v);
-                        if let Some((ip, ivc)) = self.routers[src].output_owner(src_port, vc) {
-                            if let Some(w) = self.routers[src].worm_of(ip, ivc) {
+                        if let Some((ip, ivc)) = router.output_owner(src_port, vc) {
+                            if let Some(w) = router.worm_of(ip, ivc) {
                                 affected.push(w.message);
                             }
                         }
                     }
                 }
                 // Flits already on the wire arrive corrupted.
-                let pi = self.link_perm[li] as usize;
-                for lane in &self.links[pi].lanes {
+                for lane in &self.link(self.link_perm[li] as usize).lanes {
                     for (_, flit) in lane {
                         affected.push(flit.worm.message);
                     }
@@ -1093,7 +1144,7 @@ impl Network {
                 let li = self.link_by_id[id.index()] as usize;
                 let (dst, dst_port) = self.wiring.link_head[li];
                 if let Some((src, src_port)) = self.wiring.in_upstream[dst][dst_port.index()] {
-                    self.routers[src].clear_dead_out(src_port);
+                    self.router_mut(src).clear_dead_out(src_port);
                     // Re-arm the upstream endpoint: a worm parked there
                     // waiting out the dead port must be reconsidered by
                     // the active stepper (dense sweeps everything
@@ -1139,16 +1190,16 @@ impl Network {
         let Some(li) = self.wiring.out_link[up_node][up_out.index()] else {
             return;
         };
-        let pi = self.link_perm[li] as usize;
-        let lane = &mut self.links[pi].lanes[vc.index()];
-        let before = lane.len();
-        lane.retain(|(_, f)| f.worm != worm);
-        let purged = before - lane.len();
-        self.links[pi].occupied -= purged;
+        let (s, l) = self.link_slot(self.link_perm[li] as usize);
+        let link = &mut self.shards[s].links[l];
+        let before = link.lanes[vc.index()].len();
+        link.lanes[vc.index()].retain(|(_, f)| f.worm != worm);
+        let purged = before - link.lanes[vc.index()].len();
+        link.occupied -= purged;
         self.live_flits -= purged;
         for _ in 0..purged {
             self.counters.flits_dropped_killed += 1;
-            self.routers[up_node].add_credit(up_out, vc);
+            self.router_mut(up_node).add_credit(up_out, vc);
         }
     }
 
@@ -1201,27 +1252,28 @@ impl Network {
         let mut ids = std::mem::take(&mut self.ids_scratch);
         ids.clear();
         if self.reference_stepper {
-            ids.extend((0..self.routers.len()).map(idx32));
+            ids.extend((0..self.node_shard.len()).map(idx32));
         } else {
             // Shards own contiguous node ranges: walking the sets in
             // shard order is globally ascending.
-            for set in &mut self.router_sets {
-                set.sort();
-                ids.extend((0..set.len()).map(|k| set.get(k)));
+            for sh in &mut self.shards {
+                sh.router_set.sort();
+                ids.extend((0..sh.router_set.len()).map(|k| sh.router_set.get(k)));
             }
         }
         let mut stalled = std::mem::take(&mut self.stall_scratch);
         for &node in &ids {
             let node = node as usize;
             stalled.clear();
-            self.routers[node].stalled_worms_into(now, threshold, &mut stalled);
+            self.router_mut(node)
+                .stalled_worms_into(now, threshold, &mut stalled);
             for &(port, vc, worm) in &stalled {
                 if self.killed.contains(worm) {
                     continue;
                 }
                 self.counters.kills_path_wide += 1;
                 if let Some((sn, sc)) = self.source_of(worm.message) {
-                    if self.injectors[sn][sc].is_committed(worm) {
+                    if self.injector(NodeId::from_index(sn), sc).is_committed(worm) {
                         self.counters.kills_committed += 1;
                     }
                 }
@@ -1286,7 +1338,7 @@ impl Network {
         self.killed_mut()
             .retain(|t| now.saturating_since(t) < lifetime);
         let horizon = Cycle::new(now.as_u64().saturating_sub(4 * lifetime));
-        for rx in &mut self.receivers {
+        for rx in self.shards.iter_mut().flat_map(|sh| &mut sh.receivers) {
             rx.prune(horizon);
         }
     }
@@ -1322,19 +1374,17 @@ impl Network {
         }
         let now = self.now;
         let mut target = end;
-        for set in &self.router_sets {
-            for k in 0..set.len() {
-                let n = set.get(k) as usize;
-                if self.routers[n].total_occupancy() > 0 || self.routers[n].has_open_streaks() {
+        let chans = self.cfg.inject_channels;
+        for sh in &self.shards {
+            for k in 0..sh.router_set.len() {
+                let r = &sh.routers[sh.router_set.get(k) as usize - sh.node_lo];
+                if r.total_occupancy() > 0 || r.has_open_streaks() {
                     return;
                 }
             }
-        }
-        let chans = self.cfg.inject_channels;
-        for set in &self.injector_sets {
-            for k in 0..set.len() {
-                let id = set.get(k) as usize;
-                let inj = &self.injectors[id / chans][id % chans];
+            for k in 0..sh.injector_set.len() {
+                let id = sh.injector_set.get(k) as usize;
+                let inj = &sh.injectors[id / chans - sh.node_lo][id % chans];
                 if !inj.has_step_work() {
                     continue; // stale entry
                 }
@@ -1343,21 +1393,16 @@ impl Network {
                     _ => return, // sending or resuming now: must step
                 }
             }
-        }
-        for set in &self.link_sets {
-            for k in 0..set.len() {
-                // Members are permuted indices — exactly how `links`
-                // and `link_wake` are stored.
-                let pi = set.get(k) as usize;
-                if self.links[pi].occupied == 0 {
+            for k in 0..sh.link_set.len() {
+                let l = sh.link_set.get(k) as usize - sh.links_lo;
+                if sh.links[l].occupied == 0 {
                     continue; // purged empty since it was armed
                 }
-                let wake = self.link_wake[pi];
-                if wake <= now {
+                if sh.wake[l] <= now {
                     // Due (or a conservative stale-early estimate): step.
                     return;
                 }
-                target = target.min(wake);
+                target = target.min(sh.wake[l]);
             }
         }
         if let Some(e) = self.scheduled.front() {
@@ -1438,7 +1483,7 @@ impl Network {
     /// injector when it gets there (or when the chain has already
     /// drained behind the worm's tail).
     fn continue_backward(&mut self, now: Cycle, t: Token) {
-        if self.routers[t.node].port_kind(t.port) == PortKind::Inject {
+        if self.router_at(t.node).port_kind(t.port) == PortKind::Inject {
             let channel = t.port.index() - self.wiring.topo.num_ports(NodeId::from_index(t.node));
             let retx = self.injector_on_killed(t.node, channel, now, t.worm);
             self.emit_retransmit(now, t.worm.message, retx);
@@ -1446,8 +1491,9 @@ impl Network {
         }
         let up = self.wiring.in_upstream[t.node][t.port.index()];
         if let Some((up_node, up_out)) = up {
-            if let Some((ip, iv)) = self.routers[up_node].output_owner(up_out, t.vc) {
-                if self.routers[up_node].worm_of(ip, iv) == Some(t.worm) {
+            let up_router = self.router_at(up_node);
+            if let Some((ip, iv)) = up_router.output_owner(up_out, t.vc) {
+                if up_router.worm_of(ip, iv) == Some(t.worm) {
                     self.bwd_tokens.push(Token {
                         worm: t.worm,
                         node: up_node,
@@ -1491,9 +1537,11 @@ impl Network {
         vc: VcId,
         worm: WormId,
     ) -> Option<RouteTarget> {
-        let res = self.routers[node].flush_worm(port, vc, worm);
+        let router = self.router_mut(node);
+        let res = router.flush_worm(port, vc, worm);
+        let from_link = router.port_kind(port) == PortKind::Node;
         self.live_flits -= res.flushed;
-        if self.routers[node].port_kind(port) == PortKind::Node {
+        if from_link {
             for _ in 0..res.flushed {
                 self.credit_into(node, port, vc);
             }
@@ -1507,7 +1555,7 @@ impl Network {
     /// Returns one credit to the router feeding `(node, in_port, vc)`.
     fn credit_into(&mut self, node: usize, in_port: PortId, vc: VcId) {
         if let Some((up_node, up_out)) = self.wiring.in_upstream[node][in_port.index()] {
-            self.routers[up_node].add_credit(up_out, vc);
+            self.router_mut(up_node).add_credit(up_out, vc);
         }
     }
 
@@ -1527,7 +1575,10 @@ impl Network {
                     });
                 }
             }
-            Some(RouteTarget::Eject { .. }) => self.receivers[node].discard(worm),
+            Some(RouteTarget::Eject { .. }) => {
+                let (s, l) = self.node_slot(node);
+                self.shards[s].receivers[l].discard(worm);
+            }
             None => {}
         }
     }
@@ -1536,7 +1587,7 @@ impl Network {
 impl Drop for Network {
     fn drop(&mut self) {
         // Shut the worker team down (its threads joined) before any
-        // shard state is freed. The tasks own their chunks outright so
+        // shard state is freed. The tasks own their shards outright so
         // no worker can reference freed state even without this, but
         // the explicit order keeps teardown deterministic and lets the
         // no-thread-leak regression test assert it.

@@ -4,18 +4,19 @@
 //! # One body per phase
 //!
 //! Arrivals, injection, routing plus orphan-credit collection, and
-//! switch traversal each have exactly one implementation here. A body
-//! works on one shard's state ([`Shard`]: the routers, injectors and
-//! receivers of a contiguous node-id range, plus every link whose
-//! *destination* lies in that range) and reads the shared tables
-//! through a [`Ctx`]. Everything a body would have to touch outside
-//! its shard is buffered in its [`ShardScratch`] instead: upstream
-//! credit returns, departing flits, teardown tokens, killed-registry
-//! inserts, trace events, deliveries and counter deltas. Each phase
-//! has one barrier routine on [`Network`] that applies those buffers
-//! in shard order. Shards are contiguous id ranges walked ascending,
-//! so shard order reproduces the global ascending order of one big
-//! sweep.
+//! switch traversal each have exactly one implementation here, a
+//! `fn(&Ctx, &mut Shard)`. The [`Shard`] is the one owned struct that
+//! holds a shard's state: the routers, injectors and receivers of a
+//! contiguous node-id range, every link whose *destination* lies in
+//! that range, the shard's active sets and its [`ShardScratch`]. The
+//! [`Ctx`] carries the shared read-only tables. Everything a body
+//! would have to touch outside its shard is buffered in the scratch
+//! instead: upstream credit returns, departing flits, teardown tokens,
+//! killed-registry inserts, trace events, deliveries and counter
+//! deltas. Each phase has one barrier routine on [`Network`] that
+//! applies those buffers in shard order. Shards are contiguous id
+//! ranges walked ascending, so shard order reproduces the global
+//! ascending order of one big sweep.
 //!
 //! # Three schedules
 //!
@@ -23,17 +24,18 @@
 //! the bodies are dispatched:
 //!
 //! * **Dense reference** ([`Network::set_reference_stepper`]): each
-//!   body visits every component of its shard, the bodies run on the
-//!   calling thread in shard order, and the run loops never
-//!   fast-forward.
+//!   body visits every component of its shard, runs on the calling
+//!   thread on `&mut shards[s]` in shard order, and the run loops
+//!   never fast-forward.
 //! * **Serial active** (one shard, the default): each body drains its
 //!   shard's active set and runs directly on the calling thread.
 //! * **Sharded** (`shards > 1`): each body drains its shard's active
 //!   set and runs as one task per shard on the persistent
-//!   [`pool::Team`]. Team workers are long-lived, so a task owns its
-//!   shard's state for the fan-out ([`ShardWork`], moved out of the
-//!   per-shard chunks and back) and reads the tables through `Arc`
-//!   clones ([`SharedCtx`]) that are dropped before the barrier runs.
+//!   [`pool::Team`]. Team workers are long-lived, so the fan-out takes
+//!   the network's `Vec<Shard>`, moves each `Shard` into its task by
+//!   value and stores the `Vec` the team hands back. The tasks read
+//!   the tables through `Arc` clones ([`SharedCtx`]) that are dropped
+//!   before the barrier runs.
 //!
 //! # Arrivals and the detection escape
 //!
@@ -62,13 +64,12 @@
 //! credit freed by another router, and no cross-shard read order
 //! exists to preserve.
 
-use super::{idx32, LinkState, Network, Token, Wiring, SOURCE_GONE};
-use crate::injector::Injector;
+use super::{idx32, Network, Shard, Token, Wiring, SOURCE_GONE};
 use crate::killmap::KilledMap;
-use crate::receiver::{DeliveredMessage, Receiver};
+use crate::receiver::DeliveredMessage;
 use crate::report::NetCounters;
 use cr_faults::FaultModel;
-use cr_router::{Flit, LinkStallStreak, PortKind, RouteTarget, Router, Traversal, WormId};
+use cr_router::{Flit, LinkStallStreak, PortKind, RouteTarget, Traversal, WormId};
 use cr_sim::pool;
 use cr_sim::sched::ActiveSet;
 use cr_sim::trace::{Event, KillCause};
@@ -145,60 +146,8 @@ impl Ctx<'_> {
     }
 }
 
-/// One shard's mutable state, borrowed for one body call. Indices into
-/// the slices are shard-local: node `n` is `routers[n - node_lo]`,
-/// permuted link `pi` is `links[pi - links_lo]`.
-pub(crate) struct Shard<'a> {
-    node_lo: usize,
-    links_lo: usize,
-    routers: &'a mut [Router],
-    links: &'a mut [LinkState],
-    wake: &'a mut [Cycle],
-    injectors: &'a mut [Vec<Injector>],
-    receivers: &'a mut [Receiver],
-    router_set: &'a mut ActiveSet,
-    link_set: &'a mut ActiveSet,
-    injector_set: &'a mut ActiveSet,
-    scratch: &'a mut ShardScratch,
-}
-
 /// A phase body: one shard's share of one cycle phase.
-type Body = for<'c, 's> fn(&Ctx<'c>, &mut Shard<'s>);
-
-/// One shard's owned state, moved into a team task for the duration
-/// of a fan-out and handed back as the task's return value. Taking it
-/// is O(1) per field (`mem::take` of the chunk vectors).
-pub(crate) struct ShardWork {
-    node_lo: usize,
-    links_lo: usize,
-    routers: Vec<Router>,
-    links: Vec<LinkState>,
-    wake: Vec<Cycle>,
-    injectors: Vec<Vec<Injector>>,
-    receivers: Vec<Receiver>,
-    router_set: ActiveSet,
-    link_set: ActiveSet,
-    injector_set: ActiveSet,
-    scratch: ShardScratch,
-}
-
-impl ShardWork {
-    fn view(&mut self) -> Shard<'_> {
-        Shard {
-            node_lo: self.node_lo,
-            links_lo: self.links_lo,
-            routers: &mut self.routers,
-            links: &mut self.links,
-            wake: &mut self.wake,
-            injectors: &mut self.injectors,
-            receivers: &mut self.receivers,
-            router_set: &mut self.router_set,
-            link_set: &mut self.link_set,
-            injector_set: &mut self.injector_set,
-            scratch: &mut self.scratch,
-        }
-    }
-}
+type Body = fn(&Ctx<'_>, &mut Shard);
 
 /// `Arc` clones of the tables, shared by every task of one fan-out.
 /// Dropped before the barrier, so the serially mutated registries
@@ -263,12 +212,12 @@ fn visit(dense: bool, set: &mut ActiveSet, range: std::ops::Range<usize>, out: &
 impl Network {
     /// Whether the bodies fan out on the team: the sharded schedule.
     fn fans_out(&self) -> bool {
-        !self.reference_stepper && !self.plan.is_serial()
+        !self.reference_stepper && self.shards.len() > 1
     }
 
-    /// Borrows shard `s`'s state, the tables and the fault RNG for a
-    /// body call on the calling thread.
-    fn parts(&mut self, s: usize, now: Cycle) -> (Ctx<'_>, Shard<'_>, &mut SimRng) {
+    /// Borrows shard `s`, the tables and the fault RNG for a body call
+    /// on the calling thread.
+    fn parts(&mut self, s: usize, now: Cycle) -> (Ctx<'_>, &mut Shard, &mut SimRng) {
         let ctx = Ctx {
             now,
             dense: self.reference_stepper,
@@ -279,20 +228,7 @@ impl Network {
             trace_on: self.trace.enabled(),
             chans: self.cfg.inject_channels,
         };
-        let shard = Shard {
-            node_lo: self.plan.range(s).start,
-            links_lo: self.link_bounds[s],
-            routers: self.routers.chunk_mut(s),
-            links: self.links.chunk_mut(s),
-            wake: self.link_wake.chunk_mut(s),
-            injectors: self.injectors.chunk_mut(s),
-            receivers: self.receivers.chunk_mut(s),
-            router_set: &mut self.router_sets[s],
-            link_set: &mut self.link_sets[s],
-            injector_set: &mut self.injector_sets[s],
-            scratch: &mut self.shard_scratch[s],
-        };
-        (ctx, shard, &mut self.fault_rng)
+        (ctx, &mut self.shards[s], &mut self.fault_rng)
     }
 
     /// Runs `body` once per shard: on the team under the sharded
@@ -302,49 +238,16 @@ impl Network {
             self.team_fan_out(now, body);
             return;
         }
-        for s in 0..self.plan.num_shards() {
-            let (ctx, mut shard, _) = self.parts(s, now);
-            body(&ctx, &mut shard);
+        for s in 0..self.shards.len() {
+            let (ctx, shard, _) = self.parts(s, now);
+            body(&ctx, shard);
         }
-    }
-
-    /// Moves shard `s`'s owned state out of the network (to hand to a
-    /// team task). The placeholder left behind is never observed
-    /// because the orchestrator blocks on the fan-out.
-    fn take_shard(&mut self, s: usize) -> ShardWork {
-        ShardWork {
-            node_lo: self.plan.range(s).start,
-            links_lo: self.link_bounds[s],
-            routers: self.routers.take_chunk(s),
-            links: self.links.take_chunk(s),
-            wake: self.link_wake.take_chunk(s),
-            injectors: self.injectors.take_chunk(s),
-            receivers: self.receivers.take_chunk(s),
-            router_set: std::mem::replace(&mut self.router_sets[s], ActiveSet::new(0)),
-            link_set: std::mem::replace(&mut self.link_sets[s], ActiveSet::new(0)),
-            injector_set: std::mem::replace(&mut self.injector_sets[s], ActiveSet::new(0)),
-            scratch: std::mem::take(&mut self.shard_scratch[s]),
-        }
-    }
-
-    /// Returns shard `s`'s state after a fan-out.
-    fn put_shard(&mut self, s: usize, w: ShardWork) {
-        self.routers.put_chunk(s, w.routers);
-        self.links.put_chunk(s, w.links);
-        self.link_wake.put_chunk(s, w.wake);
-        self.injectors.put_chunk(s, w.injectors);
-        self.receivers.put_chunk(s, w.receivers);
-        self.router_sets[s] = w.router_set;
-        self.link_sets[s] = w.link_set;
-        self.injector_sets[s] = w.injector_set;
-        self.shard_scratch[s] = w.scratch;
     }
 
     /// Runs `body` for every shard on the persistent team (spawned on
-    /// first use, its width resolved once then) and moves each shard's
-    /// state back.
+    /// first use, its width resolved once then): each task owns its
+    /// shard outright and hands it back as its result.
     fn team_fan_out(&mut self, now: Cycle, body: Body) {
-        let num_shards = self.plan.num_shards();
         let shared = Arc::new(SharedCtx {
             now,
             wiring: Arc::clone(&self.wiring),
@@ -354,26 +257,25 @@ impl Network {
             trace_on: self.trace.enabled(),
             chans: self.cfg.inject_channels,
         });
-        let mut tasks = Vec::with_capacity(num_shards);
-        for s in 0..num_shards {
-            let shared = Arc::clone(&shared);
-            let mut work = self.take_shard(s);
-            tasks.push(move || {
-                body(&shared.ctx(), &mut work.view());
-                work
-            });
-        }
+        let tasks: Vec<_> = std::mem::take(&mut self.shards)
+            .into_iter()
+            .map(|mut shard| {
+                let shared = Arc::clone(&shared);
+                move || {
+                    body(&shared.ctx(), &mut shard);
+                    shard
+                }
+            })
+            .collect();
         drop(shared);
+        let num_shards = tasks.len();
         let threads = self.shard_threads;
         let team = self.team.get_or_insert_with(|| {
             let workers = threads
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
             pool::Team::new(workers.min(num_shards))
         });
-        let results = team.run(tasks);
-        for (s, work) in results.into_iter().enumerate() {
-            self.put_shard(s, work);
-        }
+        self.shards = team.run(tasks);
     }
 
     // --------------------------------------------------------------
@@ -408,8 +310,8 @@ impl Network {
         }
         for id in self.faults.dead_links() {
             let li = self.link_by_id[id.index()] as usize;
-            let pi = self.link_perm[li] as usize;
-            if self.links[pi].occupied > 0 && self.link_wake[pi] <= now {
+            let (s, l) = self.link_slot(self.link_perm[li] as usize);
+            if self.shards[s].links[l].occupied > 0 && self.shards[s].wake[l] <= now {
                 return false;
             }
         }
@@ -429,10 +331,10 @@ impl Network {
             if self.reference_stepper {
                 ids.extend_from_slice(&self.link_perm);
             } else {
-                for set in &mut self.link_sets {
-                    set.drain_sorted_into(&mut ids);
+                for sh in &mut self.shards {
+                    sh.link_set.drain_sorted_into(&mut ids);
                 }
-                if self.link_sets.len() > 1 {
+                if self.shards.len() > 1 {
                     // Per-shard drains are sorted by permuted index;
                     // the walk goes by original index.
                     let orig = &self.wiring.link_orig;
@@ -453,7 +355,7 @@ impl Network {
         let (mut at, mut lane) = (0, 0);
         while at < ids.len() {
             let s = self.link_shard[ids[at] as usize];
-            let run = if self.link_sets.len() == 1 {
+            let run = if self.shards.len() == 1 {
                 ids.len() - at
             } else {
                 ids[at..]
@@ -462,8 +364,8 @@ impl Network {
                     .count()
             };
             let stop = {
-                let (ctx, mut shard, rng) = self.parts(usize::from(s), now);
-                arrivals(&ctx, &mut shard, Some(rng), &ids[at..at + run], lane)
+                let (ctx, shard, rng) = self.parts(usize::from(s), now);
+                arrivals(&ctx, shard, Some(rng), &ids[at..at + run], lane)
             };
             match stop {
                 None => {
@@ -491,7 +393,7 @@ impl Network {
     /// The arrivals and route barrier: every shard's credits, counter
     /// deltas and events, in shard order.
     fn apply_all_scratch(&mut self, now: Cycle) {
-        for s in 0..self.plan.num_shards() {
+        for s in 0..self.shards.len() {
             self.apply_scratch(now, s);
         }
     }
@@ -502,18 +404,18 @@ impl Network {
 
     pub(super) fn phase_injection(&mut self, now: Cycle) {
         self.run_phase(now, injection);
-        for s in 0..self.plan.num_shards() {
+        for s in 0..self.shards.len() {
             // Per injector the order is Kill event (buffered),
             // registry insert, forward token push. Nothing in this
             // phase reads the registry or the token lists, so applying
             // per kind is state-identical.
-            let mut kills = std::mem::take(&mut self.shard_scratch[s].kills);
+            let mut kills = std::mem::take(&mut self.shards[s].scratch.kills);
             for &worm in &kills {
                 self.killed_mut().insert(worm, now);
             }
             kills.clear();
-            self.shard_scratch[s].kills = kills;
-            self.fwd_tokens.append(&mut self.shard_scratch[s].tokens);
+            self.shards[s].scratch.kills = kills;
+            self.fwd_tokens.append(&mut self.shards[s].scratch.tokens);
             self.apply_scratch(now, s);
         }
     }
@@ -537,8 +439,8 @@ impl Network {
         // be observed.
         let channel_latency = self.cfg.channel_latency;
         let warmup = self.cfg.warmup;
-        for s in 0..self.plan.num_shards() {
-            let mut scratch = std::mem::take(&mut self.shard_scratch[s]);
+        for s in 0..self.shards.len() {
+            let mut scratch = std::mem::take(&mut self.shards[s].scratch);
             for i in 0..scratch.push_li.len() {
                 let li = scratch.push_li[i] as usize;
                 if now.as_u64() >= warmup {
@@ -557,12 +459,12 @@ impl Network {
             for m in scratch.delivered.drain(..) {
                 self.deliver(now, m);
             }
-            self.shard_scratch[s] = scratch;
+            self.shards[s].scratch = scratch;
             self.apply_scratch(now, s);
         }
         // Every finished stall streak is emitted after every delivery.
-        for s in 0..self.plan.num_shards() {
-            for ev in self.shard_scratch[s].streak_events.drain(..) {
+        for sh in &mut self.shards {
+            for ev in sh.scratch.streak_events.drain(..) {
                 self.trace.emit(|| ev);
             }
         }
@@ -599,11 +501,13 @@ impl Network {
     /// increments and counters plain sums, so shard order equals any
     /// serial interleaving.
     fn apply_scratch(&mut self, now: Cycle, s: usize) {
-        let scratch = &mut self.shard_scratch[s];
-        for &(up_node, up_out, vc) in &scratch.credits {
-            self.routers[up_node as usize].add_credit(up_out, vc);
+        let mut credits = std::mem::take(&mut self.shards[s].scratch.credits);
+        for &(up_node, up_out, vc) in &credits {
+            self.router_mut(up_node as usize).add_credit(up_out, vc);
         }
-        scratch.credits.clear();
+        credits.clear();
+        let scratch = &mut self.shards[s].scratch;
+        scratch.credits = credits;
         self.counters.merge(&scratch.counters);
         scratch.counters = NetCounters::default();
         apply_delta(
@@ -629,7 +533,7 @@ impl Network {
 
 /// Arrivals for one shard on the team: the drained link set, no fault
 /// RNG, and (by the gate) no detection stop.
-fn arrivals_fan_out(ctx: &Ctx<'_>, sh: &mut Shard<'_>) {
+fn arrivals_fan_out(ctx: &Ctx<'_>, sh: &mut Shard) {
     let mut ids = std::mem::take(&mut sh.scratch.ids);
     ids.clear();
     sh.link_set.drain_sorted_into(&mut ids);
@@ -650,7 +554,7 @@ fn arrivals_fan_out(ctx: &Ctx<'_>, sh: &mut Shard<'_>) {
 /// dropped and its credit buffered.
 fn arrivals(
     ctx: &Ctx<'_>,
-    sh: &mut Shard<'_>,
+    sh: &mut Shard,
     mut rng: Option<&mut SimRng>,
     ids: &[u32],
     first_lane: usize,
@@ -714,7 +618,7 @@ fn arrivals(
                 // `killed` is still current: nothing between the peek
                 // and here touches the registry.
                 if killed {
-                    drop_arrival(ctx, sh.scratch, dst_node, dst_port, vc);
+                    drop_arrival(ctx, &mut sh.scratch, dst_node, dst_port, vc);
                     continue;
                 }
                 if flit.corrupted && ctx.detects {
@@ -722,7 +626,7 @@ fn arrivals(
                         .as_deref_mut()
                         .is_none_or(|r| ctx.faults.detects_corruption(r))
                     {
-                        drop_arrival(ctx, sh.scratch, dst_node, dst_port, vc);
+                        drop_arrival(ctx, &mut sh.scratch, dst_node, dst_port, vc);
                         return Some(Detected {
                             pos,
                             lane: v,
@@ -768,12 +672,12 @@ fn drop_arrival(ctx: &Ctx<'_>, scratch: &mut ShardScratch, node: usize, port: Po
 /// timeout kill only touches the worm's own node (the flush at the
 /// inject port releases no upstream credit and has no feeding link);
 /// its registry insert and forward token are buffered.
-fn injection(ctx: &Ctx<'_>, sh: &mut Shard<'_>) {
+fn injection(ctx: &Ctx<'_>, sh: &mut Shard) {
     let now = ctx.now;
     let chans = ctx.chans;
     let mut ids = std::mem::take(&mut sh.scratch.ids);
     let range = sh.node_lo * chans..(sh.node_lo + sh.routers.len()) * chans;
-    visit(ctx.dense, sh.injector_set, range, &mut ids);
+    visit(ctx.dense, &mut sh.injector_set, range, &mut ids);
     for &id in &ids {
         let (n, c) = (id as usize / chans, id as usize % chans);
         let local = n - sh.node_lo;
@@ -872,10 +776,10 @@ fn injection(ctx: &Ctx<'_>, sh: &mut Shard<'_>) {
 /// shard. Orphan drops leave the network. The visited router ids stay
 /// in `scratch.ids` for [`traverse`]: nothing in between arms a
 /// router, so the list is complete for both.
-fn route(ctx: &Ctx<'_>, sh: &mut Shard<'_>) {
+fn route(ctx: &Ctx<'_>, sh: &mut Shard) {
     let mut ids = std::mem::take(&mut sh.scratch.ids);
     let range = sh.node_lo..sh.node_lo + sh.routers.len();
-    visit(ctx.dense, sh.router_set, range, &mut ids);
+    visit(ctx.dense, &mut sh.router_set, range, &mut ids);
     let is_killed = |w: WormId| ctx.killed.contains(w);
     for &n in &ids {
         let local = n as usize - sh.node_lo;
@@ -890,7 +794,7 @@ fn route(ctx: &Ctx<'_>, sh: &mut Shard<'_>) {
     for &n in &ids {
         let local = n as usize - sh.node_lo;
         for (port, vc) in sh.routers[local].take_orphan_credits() {
-            ctx.buffer_credit(sh.scratch, n as usize, port, vc);
+            ctx.buffer_credit(&mut sh.scratch, n as usize, port, vc);
         }
     }
     sh.scratch.ids = ids;
@@ -902,7 +806,7 @@ fn route(ctx: &Ctx<'_>, sh: &mut Shard<'_>) {
 /// upstream credits buffer per the credit-return latency; finished
 /// stall streaks buffer as events. Routers still holding flits or an
 /// open streak re-arm.
-fn traverse(ctx: &Ctx<'_>, sh: &mut Shard<'_>) {
+fn traverse(ctx: &Ctx<'_>, sh: &mut Shard) {
     let now = ctx.now;
     let mut ids = std::mem::take(&mut sh.scratch.ids);
     let mut traversals = std::mem::take(&mut sh.scratch.traversals);
@@ -914,7 +818,7 @@ fn traverse(ctx: &Ctx<'_>, sh: &mut Shard<'_>) {
         for t in &traversals {
             sh.scratch.progress = true;
             if sh.routers[local].port_kind(t.from_port) == PortKind::Node {
-                ctx.buffer_credit(sh.scratch, n as usize, t.from_port, t.from_vc);
+                ctx.buffer_credit(&mut sh.scratch, n as usize, t.from_port, t.from_vc);
             }
             match t.target {
                 RouteTarget::Link { port, vc } => {

@@ -6,7 +6,7 @@
 //! change made inside a body moves every schedule at once and slips
 //! past them. These tests pin the bodies to recorded outputs instead:
 //! one tiny configuration per body branch, each run on all three
-//! schedules, must reproduce a committed FNV-1a digest of its
+//! schedules (the dense one at one and at two shards), must reproduce a committed FNV-1a digest of its
 //! `SimReport` JSON plus its drained trace-event stream.
 //!
 //! Each case also asserts that its branch actually fired (a nonzero
@@ -35,18 +35,26 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The three ways one kernel can be scheduled.
+/// The ways one kernel can be scheduled.
 #[derive(Debug, Clone, Copy)]
 enum Schedule {
     /// Every component visited, no fast-forward.
     Dense,
+    /// Dense at two shards: the bodies called per shard on the calling
+    /// thread, in shard order, without a fan-out.
+    DenseSharded,
     /// Active sets at one shard, on the calling thread.
     Serial,
     /// Active sets at two shards on a two-worker team.
     Sharded,
 }
 
-const SCHEDULES: [Schedule; 3] = [Schedule::Dense, Schedule::Serial, Schedule::Sharded];
+const SCHEDULES: [Schedule; 4] = [
+    Schedule::Dense,
+    Schedule::DenseSharded,
+    Schedule::Serial,
+    Schedule::Sharded,
+];
 
 /// The 4×4 torus every case runs on.
 fn torus() -> KAryNCube {
@@ -109,12 +117,16 @@ fn kills_under_load() -> ChurnSchedule {
 /// the report.
 fn run(build: &dyn Fn() -> NetworkBuilder, cycles: u64, schedule: Schedule) -> (u64, SimReport) {
     let mut b = build();
-    if let Schedule::Sharded = schedule {
+    if let Schedule::DenseSharded | Schedule::Sharded = schedule {
         b.shards(2);
     }
     let mut net = b.build();
     match schedule {
         Schedule::Dense => net.set_reference_stepper(true),
+        Schedule::DenseSharded => {
+            assert_eq!(net.num_shards(), 2);
+            net.set_reference_stepper(true);
+        }
         Schedule::Serial => assert_eq!(net.num_shards(), 1),
         Schedule::Sharded => {
             assert_eq!(net.num_shards(), 2);

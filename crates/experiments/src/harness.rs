@@ -88,6 +88,19 @@ pub fn set_trace_path(path: Option<std::path::PathBuf>) -> std::io::Result<()> {
 /// Applies a `--trace` argument, exiting with a diagnostic if the dump
 /// file cannot be created — flag parsing has no caller to hand the
 /// error to.
+/// The count given to `flag` (`--jobs` / `--shards`); exits with status
+/// 2 when it is missing or not a non-negative integer.
+fn count_arg(flag: &str, value: Option<&str>) -> usize {
+    let Some(v) = value else {
+        eprintln!("error: {flag} needs a count");
+        std::process::exit(2);
+    };
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("error: {flag} expects a non-negative integer, got '{v}'");
+        std::process::exit(2);
+    })
+}
+
 fn apply_trace_arg(p: &str) {
     if let Err(e) = set_trace_path(Some(p.into())) {
         eprintln!("error: cannot create --trace file {p}: {e}");
@@ -286,23 +299,21 @@ impl Scale {
     /// serial. Results are identical either way — only wall clock
     /// changes. A `--churn <plan.json>` flag (via [`set_churn_plan`])
     /// installs a live kill/revive schedule on every network built;
-    /// the plan's JSON schema is documented in `EXPERIMENTS.md`.
+    /// the plan's JSON schema is documented in `EXPERIMENTS.md`. A
+    /// flag whose value is missing or malformed exits the process with
+    /// status 2 and a diagnostic.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if a == "--jobs" {
-                if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
-                    set_jobs(n);
-                }
-            } else if let Some(n) = a.strip_prefix("--jobs=").and_then(|v| v.parse().ok()) {
-                set_jobs(n);
+                set_jobs(count_arg("--jobs", it.next().map(String::as_str)));
+            } else if let Some(v) = a.strip_prefix("--jobs=") {
+                set_jobs(count_arg("--jobs", Some(v)));
             } else if a == "--shards" {
-                if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
-                    set_shards(n);
-                }
-            } else if let Some(n) = a.strip_prefix("--shards=").and_then(|v| v.parse().ok()) {
-                set_shards(n);
+                set_shards(count_arg("--shards", it.next().map(String::as_str)));
+            } else if let Some(v) = a.strip_prefix("--shards=") {
+                set_shards(count_arg("--shards", Some(v)));
             } else if a == "--trace" {
                 if let Some(p) = it.next() {
                     apply_trace_arg(p);

@@ -17,9 +17,11 @@ pub const HASH_RULE_CRATES: &[&str] = &["sim", "router", "core", "faults", "expe
 /// things by definition. Everything else must be cycle-driven.
 pub const WALL_CLOCK_CRATE: &str = "bench";
 
-/// The one module allowed to start threads: the deterministic
-/// work-stealing pool. Sweep parallelism must flow through it so the
-/// `--jobs`-invariance contract holds.
+/// The one module allowed to start threads: the deterministic pool
+/// (scoped sweep workers and the persistent shard team, both claiming
+/// tasks from one atomic cursor). Sweep and shard parallelism must
+/// flow through it so the `--jobs`- and `--shards`-invariance
+/// contracts hold.
 pub const SPAWN_EXEMPT_FILES: &[&str] = &["crates/sim/src/pool.rs"];
 
 /// Cycle-loop hot-path modules (plus the two triaged satellite files,

@@ -13,11 +13,15 @@
 //! * [`json`] — a minimal JSON value/writer/parser for result dumps.
 //! * [`check`] — a seeded property-testing mini-framework with
 //!   shrinking, used by the workspace's `tests/properties.rs` suites.
-//! * [`pool`] — a work-stealing task pool on scoped threads, used by
-//!   the experiment harness to run sweep points in parallel while
-//!   keeping results in submission order (bit-identical to serial).
+//! * [`pool`] — a scoped task pool, used by the experiment harness to
+//!   run sweep points in parallel while keeping results in submission
+//!   order (bit-identical to serial), and the persistent worker team
+//!   ([`pool::Team`]) the sharded stepper fans out on.
 //! * [`sched`] — generation-stamped active sets ([`sched::ActiveSet`])
 //!   backing the network's skip-the-idle cycle scheduler.
+//! * [`shard`] — the spatial partition of one simulation into
+//!   contiguous node-id ranges ([`shard::Plan`]) and the resolution of
+//!   the shard count ([`shard::effective_shards`]).
 //! * [`trace`] — typed protocol events ([`trace::Event`]) behind a
 //!   bounded ring-buffer sink ([`trace::TraceSink`]) that is a no-op
 //!   when disabled; the observability layer of the protocol crates.

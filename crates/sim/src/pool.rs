@@ -1,6 +1,5 @@
-//! Hermetic task parallelism: a scoped work-stealing pool for sweep
-//! batches, and a persistent worker [`Team`] for per-cycle shard
-//! fan-outs.
+//! Hermetic task parallelism: a scoped pool for sweep batches, and a
+//! persistent worker [`Team`] for per-cycle shard fan-outs.
 //!
 //! The experiment sweeps are embarrassingly parallel: every point is an
 //! independent deterministic simulation owning its own seed. [`run`]
@@ -13,12 +12,12 @@
 //! [`run`] takes a `Vec` of `FnOnce` tasks. With `jobs <= 1` (or a
 //! single task) it executes them inline on the caller's thread — the
 //! serial fallback is literally a `for` loop, not a one-worker pool.
-//! Otherwise tasks are dealt round-robin onto per-worker deques; each
-//! scoped worker pops its own deque from the front and, when empty,
-//! *steals* from the back of the others, so uneven point costs (high
-//! offered loads simulate slower) still balance. Each worker batches
-//! its results locally and sends one `Vec` back over the channel when
-//! it runs dry, tagged with submission indices.
+//! Otherwise scoped workers claim task indices from one atomic cursor
+//! (the same claim loop a [`Team`] uses), so a worker that drew a slow
+//! point simply claims fewer, and uneven point costs (high offered
+//! loads simulate slower) still balance. Each worker batches its
+//! results locally and sends one `Vec` back over the channel when the
+//! cursor runs past the end, tagged with submission indices.
 //!
 //! A panicking task does not hang or poison the pool: every task body
 //! runs under [`std::panic::catch_unwind`], workers keep draining, and
@@ -35,7 +34,8 @@
 //! (this module is the single cr-lint-sanctioned thread-spawn site),
 //! then dispatches each batch by publishing it under a mutex and
 //! bumping an epoch. Workers claim task indices from the batch's
-//! atomic cursor, run them, and go back to waiting — a short spin on
+//! atomic cursor (the same claim loop as [`run`]), run them, and go
+//! back to waiting — a short spin on
 //! the epoch hint first, then a condvar park — so a batch dispatch is
 //! a notify, not a spawn. The caller's thread claims from the same
 //! cursor, which guarantees every batch completes even if no worker
@@ -60,7 +60,6 @@
 //! assert_eq!(team.run(tasks), vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -145,109 +144,115 @@ where
 {
     let n = tasks.len();
     if jobs <= 1 || n <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for (i, task) in tasks.into_iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(task)) {
-                Ok(v) => out.push(v),
-                Err(payload) => {
-                    return Err(PoolError {
-                        task_index: i,
-                        message: panic_message(&payload),
-                    })
-                }
-            }
-        }
-        return Ok(out);
+        return run_inline(tasks);
     }
 
     let workers = jobs.min(n);
-    // Deal tasks round-robin so every worker starts with local work;
-    // stealing evens out whatever imbalance the deal leaves.
-    let mut deques: Vec<VecDeque<(usize, F)>> = (0..workers).map(|_| VecDeque::new()).collect();
-    for (i, task) in tasks.into_iter().enumerate() {
-        deques[i % workers].push_back((i, task));
-    }
-    let deques: Vec<Mutex<VecDeque<(usize, F)>>> = deques.into_iter().map(Mutex::new).collect();
+    let batch = Batch::new(tasks);
     let (tx, rx) = mpsc::channel::<Vec<(usize, Result<T, String>)>>();
-
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let deques = &deques;
+        for _ in 0..workers {
+            let batch = &batch;
             let tx = tx.clone();
             scope.spawn(move || {
                 // Batch results locally and send one Vec per worker:
                 // fine-grained sweep batches would otherwise pay one
                 // channel wakeup per task.
                 let mut results = Vec::new();
-                while let Some((i, task)) = claim(deques, w) {
-                    let result = catch_unwind(AssertUnwindSafe(task))
-                        .map_err(|payload| panic_message(&payload));
-                    results.push((i, result));
+                while let Some((i, task)) = batch.claim() {
+                    results.push((i, run_caught(task)));
                 }
                 let _ = tx.send(results);
             });
         }
         drop(tx);
-
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut first_error: Option<PoolError> = None;
-        for batch in rx {
-            for (i, result) in batch {
-                match result {
-                    Ok(v) => out[i] = Some(v),
-                    Err(message) => {
-                        if first_error.as_ref().is_none_or(|e| i < e.task_index) {
-                            first_error = Some(PoolError {
-                                task_index: i,
-                                message,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(out
-                .into_iter()
-                .map(|v| v.expect("channel closed only after all tasks reported"))
-                .collect()),
-        }
+        // The channel closes once every worker has sent its results.
+        gather(n, rx.into_iter().flatten())
     })
 }
 
-/// Pops the next task for worker `w`: its own deque front first, then
-/// the *back* of the other deques (classic work stealing — thieves take
-/// the coldest work). Returns `None` when every deque is empty, which
-/// is final: tasks never enqueue new tasks.
-fn claim<E>(deques: &[Mutex<VecDeque<E>>], w: usize) -> Option<E> {
-    // A worker panic cannot poison these mutexes (tasks run *after*
-    // the lock is released), but be robust anyway.
-    let mut own = deques[w].lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(task) = own.pop_front() {
-        return Some(task);
-    }
-    drop(own);
-    for offset in 1..deques.len() {
-        let victim = (w + offset) % deques.len();
-        let mut q = deques[victim].lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(task) = q.pop_back() {
-            return Some(task);
+/// Runs `tasks` in order on the calling thread: the serial fallback of
+/// both [`try_run`] and [`Team::try_run`]. Stops at the first panic.
+fn run_inline<T, F: FnOnce() -> T>(tasks: Vec<F>) -> Result<Vec<T>, PoolError> {
+    let mut out = Vec::with_capacity(tasks.len());
+    for (i, task) in tasks.into_iter().enumerate() {
+        match run_caught(task) {
+            Ok(v) => out.push(v),
+            Err(message) => {
+                return Err(PoolError {
+                    task_index: i,
+                    message,
+                })
+            }
         }
     }
-    None
+    Ok(out)
+}
+
+/// Runs one task, turning a panic into its rendered message.
+fn run_caught<T, F: FnOnce() -> T>(task: F) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(task)).map_err(|payload| panic_message(&payload))
+}
+
+/// Puts `n` results, arriving in any order tagged with their
+/// submission index, back into submission order. A panic anywhere
+/// reports the lowest failing index.
+fn gather<T>(
+    n: usize,
+    results: impl IntoIterator<Item = (usize, Result<T, String>)>,
+) -> Result<Vec<T>, PoolError> {
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let mut first_error: Option<PoolError> = None;
+    for (i, result) in results {
+        match result {
+            Ok(v) => out[i] = Some(v),
+            Err(message) => {
+                if first_error.as_ref().is_none_or(|e| i < e.task_index) {
+                    first_error = Some(PoolError {
+                        task_index: i,
+                        message,
+                    });
+                }
+            }
+        }
+    }
+    match first_error {
+        Some(e) => Err(e),
+        None => Ok(out
+            .into_iter()
+            .map(|v| v.expect("every task reports exactly one result"))
+            .collect()),
+    }
+}
+
+/// One batch of tasks behind per-slot mutexes, plus the atomic cursor
+/// that hands each index to exactly one claimant.
+struct Batch<J> {
+    jobs: Vec<Mutex<Option<J>>>,
+    cursor: AtomicUsize,
+}
+
+impl<J> Batch<J> {
+    fn new(tasks: impl IntoIterator<Item = J>) -> Batch<J> {
+        Batch {
+            jobs: tasks.into_iter().map(|j| Mutex::new(Some(j))).collect(),
+            cursor: AtomicUsize::new(0),
+        }
+    }
+
+    /// Claims the next task with its submission index. `None` once the
+    /// cursor has run past the end, which is final: tasks never
+    /// enqueue new tasks.
+    fn claim(&self) -> Option<(usize, J)> {
+        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+        let job = lock(self.jobs.get(i)?).take();
+        job.map(|j| (i, j))
+    }
 }
 
 /// A task queued on a [`Team`]: result delivery is baked into the
 /// closure, so workers need no knowledge of the result type.
 type TeamJob = Box<dyn FnOnce() + Send>;
-
-/// One published batch: tasks behind per-slot mutexes plus the atomic
-/// cursor workers claim indices from.
-struct TeamBatch {
-    jobs: Vec<Mutex<Option<TeamJob>>>,
-    cursor: AtomicUsize,
-}
 
 /// Dispatch state shared between the orchestrator and the workers.
 struct TeamShared {
@@ -262,7 +267,7 @@ struct TeamState {
     /// Bumped once per published batch (and once at shutdown); workers
     /// use it to tell a fresh publication from a spurious wakeup.
     epoch: u64,
-    batch: Option<Arc<TeamBatch>>,
+    batch: Option<Arc<Batch<TeamJob>>>,
     shutdown: bool,
 }
 
@@ -307,16 +312,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Claims and runs tasks from `batch` until its cursor runs past the
 /// end. Runs on workers *and* on the dispatching thread, so batch
 /// completion never depends on a worker waking up.
-fn team_run_batch(batch: &TeamBatch) {
-    loop {
-        let i = batch.cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= batch.jobs.len() {
-            return;
-        }
-        let job = lock(&batch.jobs[i]).take();
-        if let Some(job) = job {
-            job();
-        }
+fn team_run_batch(batch: &Batch<TeamJob>) {
+    while let Some((_, job)) = batch.claim() {
+        job();
     }
 }
 
@@ -412,19 +410,7 @@ impl Team {
     {
         let n = tasks.len();
         if self.workers.is_empty() || n <= 1 {
-            let mut out = Vec::with_capacity(n);
-            for (i, task) in tasks.into_iter().enumerate() {
-                match catch_unwind(AssertUnwindSafe(task)) {
-                    Ok(v) => out.push(v),
-                    Err(payload) => {
-                        return Err(PoolError {
-                            task_index: i,
-                            message: panic_message(&payload),
-                        })
-                    }
-                }
-            }
-            return Ok(out);
+            return run_inline(tasks);
         }
 
         // Result delivery rides inside each job, so the shared batch
@@ -432,24 +418,14 @@ impl Team {
         // edge: once all `n` results are received, every task closure
         // (and everything it captured) has been dropped.
         let (tx, rx) = mpsc::channel::<(usize, Result<T, String>)>();
-        let jobs: Vec<Mutex<Option<TeamJob>>> = tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, task)| {
-                let tx = tx.clone();
-                let job: TeamJob = Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(task))
-                        .map_err(|payload| panic_message(&payload));
-                    let _ = tx.send((i, result));
-                });
-                Mutex::new(Some(job))
-            })
-            .collect();
-        drop(tx);
-        let batch = Arc::new(TeamBatch {
-            jobs,
-            cursor: AtomicUsize::new(0),
+        let jobs = tasks.into_iter().enumerate().map(|(i, task)| {
+            let tx = tx.clone();
+            Box::new(move || {
+                let _ = tx.send((i, run_caught(task)));
+            }) as TeamJob
         });
+        let batch = Arc::new(Batch::new(jobs));
+        drop(tx);
 
         {
             let mut state = lock(&self.shared.state);
@@ -464,36 +440,16 @@ impl Team {
         // parked.
         team_run_batch(&batch);
 
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut first_error: Option<PoolError> = None;
-        for _ in 0..n {
-            let (i, result) = rx
-                .recv()
-                .expect("every team job sends exactly one result before dropping its sender");
-            match result {
-                Ok(v) => out[i] = Some(v),
-                Err(message) => {
-                    if first_error.as_ref().is_none_or(|e| i < e.task_index) {
-                        first_error = Some(PoolError {
-                            task_index: i,
-                            message,
-                        });
-                    }
-                }
-            }
-        }
+        let results = (0..n).map(|_| {
+            rx.recv()
+                .expect("every team job sends exactly one result before dropping its sender")
+        });
+        let out = gather(n, results);
 
         // Retire the batch so no worker holds it across the gap to the
         // next dispatch (its task slots are already empty).
         lock(&self.shared.state).batch = None;
-
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(out
-                .into_iter()
-                .map(|v| v.expect("all team results received"))
-                .collect()),
-        }
+        out
     }
 }
 
@@ -567,9 +523,9 @@ mod tests {
 
     #[test]
     fn work_is_actually_shared_and_stolen() {
-        // One deque gets all the slow tasks by the round-robin deal;
-        // with stealing every task still completes and every result
-        // lands in its slot.
+        // Every fourth task is slow. Workers claim from one cursor, so
+        // whichever worker is free takes the next task: every task
+        // still completes and every result lands in its slot.
         let executed = AtomicUsize::new(0);
         let tasks: Vec<_> = (0..40usize)
             .map(|i| {

@@ -28,6 +28,13 @@
 //! identically, which is the first link in the sharded stepper's
 //! determinism chain.
 //!
+//! The shards' state is not stored here. The network keeps one owned
+//! `Shard` struct per plan range (its routers, injectors, receivers,
+//! the links into the range, active sets and mutation buffers) in one
+//! `Vec`, indexed by shard number. A fan-out moves each whole struct
+//! into a worker task and gets it back as the task's result, so the
+//! plan only has to say which ids belong together.
+//!
 //! # Examples
 //!
 //! ```
@@ -182,160 +189,6 @@ impl Plan {
     }
 }
 
-/// Per-shard chunked storage with flat global indexing.
-///
-/// The persistent-team stepper (DESIGN.md §12) hands each worker
-/// *ownership* of its shard's state for the duration of a phase — safe
-/// Rust cannot lend `&mut` slices of one `Vec` to long-lived threads.
-/// `Sharded<T>` stores the elements as one `Vec` per shard so a whole
-/// chunk moves in and out by `O(1)` [`Sharded::take_chunk`] /
-/// [`Sharded::put_chunk`], while [`std::ops::Index`] by the original
-/// flat index keeps every serial call site unchanged (a single-chunk
-/// `Sharded` — the serial steppers — indexes with no extra cost beyond
-/// one pointer hop).
-///
-/// Iteration order is always ascending flat order: chunk 0 first, in
-/// order, then chunk 1, and so on — identical to iterating the
-/// original flat `Vec`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Sharded<T> {
-    chunks: Vec<Vec<T>>,
-    /// `chunks.len() + 1` prefix sums: chunk `c` holds flat indices
-    /// `offsets[c]..offsets[c + 1]`.
-    offsets: Vec<usize>,
-}
-
-impl<T> Sharded<T> {
-    /// Splits `items` into chunks of the given `sizes` (which must sum
-    /// to `items.len()`), preserving order.
-    pub fn from_flat(mut items: Vec<T>, sizes: &[usize]) -> Sharded<T> {
-        let total: usize = sizes.iter().sum();
-        assert_eq!(total, items.len(), "chunk sizes must cover all items");
-        let mut offsets = Vec::with_capacity(sizes.len() + 1);
-        let mut chunks = Vec::with_capacity(sizes.len().max(1));
-        offsets.push(0);
-        let mut at = 0usize;
-        // Split back-to-front so each chunk is a cheap split_off tail.
-        let mut cut_points = Vec::with_capacity(sizes.len());
-        for &size in sizes {
-            cut_points.push(at);
-            at += size;
-            offsets.push(at);
-        }
-        for &cut in cut_points.iter().rev() {
-            chunks.push(items.split_off(cut));
-        }
-        chunks.reverse();
-        if chunks.is_empty() {
-            // Zero requested chunks: keep one (empty) chunk so the
-            // single-chunk fast path and invariants hold.
-            chunks.push(items);
-            offsets = vec![0, 0];
-        }
-        Sharded { chunks, offsets }
-    }
-
-    /// All elements in one chunk — the layout every serial stepper
-    /// uses.
-    pub fn single(items: Vec<T>) -> Sharded<T> {
-        let offsets = vec![0, items.len()];
-        Sharded {
-            chunks: vec![items],
-            offsets,
-        }
-    }
-
-    /// Total element count across all chunks.
-    pub fn len(&self) -> usize {
-        *self.offsets.last().unwrap_or(&0)
-    }
-
-    /// `true` when no chunk holds any element.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of chunks (≥ 1).
-    pub fn num_chunks(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Maps a flat index to `(chunk, local)` — `O(1)` for single-chunk
-    /// layouts, `O(log chunks)` otherwise.
-    fn locate(&self, index: usize) -> (usize, usize) {
-        if self.chunks.len() == 1 {
-            return (0, index);
-        }
-        let interior = &self.offsets[1..self.offsets.len() - 1];
-        let c = interior.partition_point(|&b| b <= index);
-        (c, index - self.offsets[c])
-    }
-
-    /// Moves chunk `c` out, leaving it empty. Pair with
-    /// [`Sharded::put_chunk`] before the next flat access to that
-    /// range.
-    pub fn take_chunk(&mut self, c: usize) -> Vec<T> {
-        std::mem::take(&mut self.chunks[c])
-    }
-
-    /// Restores chunk `c` after a [`Sharded::take_chunk`]; the length
-    /// must match the chunk's flat range.
-    pub fn put_chunk(&mut self, c: usize, chunk: Vec<T>) {
-        debug_assert_eq!(
-            chunk.len(),
-            self.offsets[c + 1] - self.offsets[c],
-            "restored chunk changed size"
-        );
-        self.chunks[c] = chunk;
-    }
-
-    /// Borrows chunk `c` in place.
-    pub fn chunk_mut(&mut self, c: usize) -> &mut [T] {
-        &mut self.chunks[c]
-    }
-
-    /// Iterates all elements in ascending flat order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.chunks.iter().flatten()
-    }
-
-    /// Mutably iterates all elements in ascending flat order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.chunks.iter_mut().flatten()
-    }
-}
-
-impl<T> std::ops::Index<usize> for Sharded<T> {
-    type Output = T;
-    fn index(&self, index: usize) -> &T {
-        let (c, local) = self.locate(index);
-        &self.chunks[c][local]
-    }
-}
-
-impl<T> std::ops::IndexMut<usize> for Sharded<T> {
-    fn index_mut(&mut self, index: usize) -> &mut T {
-        let (c, local) = self.locate(index);
-        &mut self.chunks[c][local]
-    }
-}
-
-impl<'a, T> IntoIterator for &'a Sharded<T> {
-    type Item = &'a T;
-    type IntoIter = std::iter::Flatten<std::slice::Iter<'a, Vec<T>>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.chunks.iter().flatten()
-    }
-}
-
-impl<'a, T> IntoIterator for &'a mut Sharded<T> {
-    type Item = &'a mut T;
-    type IntoIter = std::iter::Flatten<std::slice::IterMut<'a, Vec<T>>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.chunks.iter_mut().flatten()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,80 +247,6 @@ mod tests {
         // in the test environment the default is serial.
         assert!(effective_shards(Some(0)) >= 1);
         assert!(effective_shards(None) >= 1);
-    }
-
-    #[test]
-    fn sharded_from_flat_indexes_like_the_flat_vec() {
-        let flat: Vec<u64> = (0..10).collect();
-        let sharded = Sharded::from_flat(flat.clone(), &[4, 3, 3]);
-        assert_eq!(sharded.len(), 10);
-        assert_eq!(sharded.num_chunks(), 3);
-        for (i, &v) in flat.iter().enumerate() {
-            assert_eq!(sharded[i], v, "flat index {i}");
-        }
-        assert_eq!(sharded.iter().copied().collect::<Vec<_>>(), flat);
-        assert_eq!((&sharded).into_iter().count(), 10);
-    }
-
-    #[test]
-    fn sharded_single_chunk_fast_path() {
-        let mut s = Sharded::single((0..6u32).collect());
-        assert_eq!(s.num_chunks(), 1);
-        s[3] = 99;
-        assert_eq!(s[3], 99);
-        assert_eq!(s.len(), 6);
-    }
-
-    #[test]
-    fn sharded_take_put_roundtrip() {
-        let mut s = Sharded::from_flat((0..10u32).collect(), &[4, 3, 3]);
-        let mid = s.take_chunk(1);
-        assert_eq!(mid, vec![4, 5, 6]);
-        // Other chunks stay addressable while one is out.
-        assert_eq!(s[0], 0);
-        assert_eq!(s[9], 9);
-        s.put_chunk(1, mid);
-        assert_eq!(s.iter().copied().collect::<Vec<_>>(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sharded_empty_chunks_and_zero_sizes() {
-        let s = Sharded::from_flat(vec![1u8, 2], &[0, 2, 0]);
-        assert_eq!(s.num_chunks(), 3);
-        assert_eq!(s[0], 1);
-        assert_eq!(s[1], 2);
-        let empty: Sharded<u8> = Sharded::from_flat(Vec::new(), &[]);
-        assert!(empty.is_empty());
-        assert_eq!(empty.num_chunks(), 1);
-    }
-
-    /// Property: splitting a random flat vec by any plan's shard sizes
-    /// preserves flat indexing, iteration order, and mutation through
-    /// `IndexMut`.
-    #[test]
-    fn prop_sharded_matches_flat() {
-        check("shard_sharded_matches_flat", Config::cases(100), |src| {
-            let n = src.usize_in(0..200);
-            let shards = src.usize_in(1..9);
-            let plan = Plan::contiguous(n, shards);
-            let sizes: Vec<usize> = (0..plan.num_shards()).map(|s| plan.range(s).len()).collect();
-            let mut flat: Vec<u64> = (0..n as u64).map(|i| i * 31).collect();
-            let mut sharded = Sharded::from_flat(flat.clone(), &sizes);
-            assert_eq!(sharded.len(), n);
-            for i in 0..n {
-                assert_eq!(sharded[i], flat[i]);
-            }
-            if n > 0 {
-                let at = src.usize_in(0..n);
-                sharded[at] += 7;
-                flat[at] += 7;
-            }
-            assert_eq!(sharded.iter().copied().collect::<Vec<_>>(), flat);
-            assert_eq!(
-                (&mut sharded).into_iter().map(|v| *v).collect::<Vec<_>>(),
-                flat
-            );
-        });
     }
 
     /// Property: any plan (from even splits or arbitrary hints, any

@@ -1,4 +1,4 @@
-//! Property-based tests of the work-stealing pool: for arbitrary task
+//! Property-based tests of the sweep pool: for arbitrary task
 //! batches and job counts, the pool is observationally identical to a
 //! serial `for` loop — same count, same order, same values — and task
 //! panics surface as errors instead of hangs.
@@ -52,8 +52,8 @@ fn any_job_count_matches_serial() {
             inputs
                 .iter()
                 .map(|&v| move || {
-                    // A mildly uneven workload so stealing actually
-                    // happens: cost depends on the input value.
+                    // A mildly uneven workload so workers claim
+                    // different shares: cost depends on the input value.
                     let mut acc = v;
                     for _ in 0..(v % 257) {
                         acc = acc.rotate_left(9) ^ 0x9E37_79B9_7F4A_7C15;

@@ -94,11 +94,13 @@ echo "verify: sharded --tiny output identical to serial"
 
 # Live churn is stepper-independent (DESIGN.md §13): the churn storm
 # runner must produce byte-identical output on the serial active-set
-# stepper, the sharded stepper, and the dense reference stepper.
+# stepper, the sharded stepper, and the dense reference stepper at one
+# and at four shards (the bodies called per shard without a fan-out).
 ./target/release/churn --tiny --jobs 1 \
     --emit-plan "$tmpdir/churn_plan.json" > "$tmpdir/churn_serial.txt"
 ./target/release/churn --tiny --jobs 1 --shards 4 > "$tmpdir/churn_sharded.txt"
 ./target/release/churn --tiny --jobs 1 --dense > "$tmpdir/churn_dense.txt"
+./target/release/churn --tiny --jobs 1 --dense --shards 4 > "$tmpdir/churn_dense_sharded.txt"
 if ! diff -q "$tmpdir/churn_serial.txt" "$tmpdir/churn_sharded.txt" > /dev/null; then
     echo "verify: FAIL — churn --shards 4 output differs from serial" >&2
     diff "$tmpdir/churn_serial.txt" "$tmpdir/churn_sharded.txt" | head -40 >&2
@@ -109,7 +111,12 @@ if ! diff -q "$tmpdir/churn_serial.txt" "$tmpdir/churn_dense.txt" > /dev/null; t
     diff "$tmpdir/churn_serial.txt" "$tmpdir/churn_dense.txt" | head -40 >&2
     exit 1
 fi
-echo "verify: churn storm identical across serial/sharded/dense steppers"
+if ! diff -q "$tmpdir/churn_serial.txt" "$tmpdir/churn_dense_sharded.txt" > /dev/null; then
+    echo "verify: FAIL — churn --dense --shards 4 output differs from the active stepper" >&2
+    diff "$tmpdir/churn_serial.txt" "$tmpdir/churn_dense_sharded.txt" | head -40 >&2
+    exit 1
+fi
+echo "verify: churn storm identical across serial/sharded/dense/dense-sharded steppers"
 
 # And a replayed --churn plan must be stepper-independent on an
 # unrelated runner too: feed the emitted storm plan to fig09 and diff
