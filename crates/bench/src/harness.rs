@@ -170,9 +170,11 @@ impl Group {
     /// The group's results as the `BENCH_<group>.json` document.
     ///
     /// The `meta` block records the wall clock elapsed since the group
-    /// was created and the effective parallelism
-    /// ([`cr_sim::pool::effective_jobs`] at group creation), so a
-    /// recorded baseline states the conditions it was measured under.
+    /// was created, the effective parallelism
+    /// ([`cr_sim::pool::effective_jobs`] at group creation) and the
+    /// host's available parallelism (`host_threads`), so a recorded
+    /// baseline states the conditions it was measured under: a
+    /// single-core baseline cannot pass for a parallel one.
     /// Each benchmark object additionally carries its own `jobs` and
     /// `shards` fields (both 1 unless set via
     /// [`Group::bench_cycles_at`]) so comparisons can key on the full
@@ -190,6 +192,14 @@ impl Group {
                         ),
                     ),
                     ("jobs", Json::from(self.jobs as u64)),
+                    (
+                        "host_threads",
+                        Json::from(
+                            std::thread::available_parallelism()
+                                .map_or(1, std::num::NonZeroUsize::get)
+                                as u64,
+                        ),
+                    ),
                 ]),
             ),
             (
@@ -337,8 +347,10 @@ mod tests {
         let meta = json.get("meta").expect("meta block");
         let elapsed = meta.get("elapsed_ns").and_then(Json::as_u64).unwrap();
         let jobs = meta.get("jobs").and_then(Json::as_u64).unwrap();
+        let host_threads = meta.get("host_threads").and_then(Json::as_u64).unwrap();
         assert!(elapsed > 0, "wall clock must have advanced");
         assert!(jobs >= 1, "effective parallelism is at least one");
+        assert!(host_threads >= 1, "the host has at least one thread");
     }
 
     #[test]

@@ -57,6 +57,7 @@ use std::sync::Arc;
 
 #[path = "network_sharded.rs"]
 mod sharded;
+pub use sharded::{PhaseDispatch, StepStats};
 
 #[path = "check_api.rs"]
 pub mod check_api;
@@ -272,6 +273,8 @@ pub struct Network {
     /// [`Network::set_shard_threads`]. Shut down (workers joined)
     /// ahead of the shard state by [`Network`]'s `Drop`.
     team: Option<cr_sim::pool::Team>,
+    /// How each phase was dispatched ([`Network::step_stats`]).
+    step_stats: StepStats,
     /// `true` once any link has ever been dead during a step. Under a
     /// fault-detecting protocol with a nonzero detection-miss rate, a
     /// corrupted flit may have survived its dead-link arrival and
@@ -477,6 +480,7 @@ impl Network {
             reference_stepper: false,
             shard_threads: None,
             team: None,
+            step_stats: StepStats::default(),
             ever_dead,
             node_shard,
             link_perm,
@@ -735,6 +739,14 @@ impl Network {
     /// the calling thread).
     pub fn num_shards(&self) -> usize {
         self.shards.len()
+    }
+
+    /// How the stepper dispatched its phases so far: shard-phases run
+    /// on the worker team and inline, and cycles whose arrivals the
+    /// gate forced serial. Deterministic for a given configuration,
+    /// but not part of [`SimReport`]: the schedules differ in it.
+    pub fn step_stats(&self) -> StepStats {
+        self.step_stats
     }
 
     /// Overrides the sharded stepper's worker-thread count (`None`,

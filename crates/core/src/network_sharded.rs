@@ -30,12 +30,17 @@
 //! * **Serial active** (one shard, the default): each body drains its
 //!   shard's active set and runs directly on the calling thread.
 //! * **Sharded** (`shards > 1`): each body drains its shard's active
-//!   set and runs as one task per shard on the persistent
-//!   [`pool::Team`]. Team workers are long-lived, so the fan-out takes
-//!   the network's `Vec<Shard>`, moves each `Shard` into its task by
-//!   value and stores the `Vec` the team hands back. The tasks read
-//!   the tables through `Arc` clones ([`SharedCtx`]) that are dropped
-//!   before the barrier runs.
+//!   set. A phase whose visit count, summed over shards, reaches
+//!   [`FAN_OUT_MIN`] runs as one task per shard on the persistent
+//!   [`pool::Team`]; a smaller one runs its bodies on the calling
+//!   thread in shard order, exactly as the dense schedule does, and
+//!   meets the same barrier. Team workers are long-lived, so the
+//!   fan-out takes the network's `Vec<Shard>`, moves each `Shard` into
+//!   its task by value and stores the `Vec` the team hands back. The
+//!   tasks read the tables through `Arc` clones ([`SharedCtx`]) that
+//!   are dropped before the barrier runs. The team is spawned at the
+//!   first fan-out, so a run whose phases never reach the threshold
+//!   starts no worker thread.
 //!
 //! # Arrivals and the detection escape
 //!
@@ -50,8 +55,9 @@
 //! same global order. `Network::arrivals_parallel_ok` picks one of
 //! two schedules per cycle:
 //!
-//! * **fan-out**: the body runs per shard on the team, without the
-//!   fault RNG. The gate has proved that no arrival this cycle can draw
+//! * **fan-out**: the body runs per shard without the fault RNG (on
+//!   the team or inline, by the same [`FAN_OUT_MIN`] rule as the other
+//!   phases). The gate has proved that no arrival this cycle can draw
 //!   it or detect corruption, and a `debug_assert` checks that the
 //!   body never stops;
 //! * **serial walk**: the body runs on the calling thread over every
@@ -75,6 +81,102 @@ use cr_sim::sched::ActiveSet;
 use cr_sim::trace::{Event, KillCause};
 use cr_sim::{Cycle, LinkId, NodeId, PortId, SimRng, VcId};
 use std::sync::Arc;
+
+/// Components a phase visits, summed over the shards, below which a
+/// sharded phase runs its bodies on the calling thread instead of the
+/// team.
+///
+/// On a 2-core host a team round trip costs about 10 µs before any
+/// work is done, while a visited component costs 0.06–0.3 µs inline,
+/// so two shards only win once a phase visits a few hundred
+/// components. Calibrated on `burst_drain_sh2` by timing every phase
+/// dispatch under both paths (DESIGN.md §12 has the sweep): any
+/// threshold from 128 to 2048 was within noise of the best. Both
+/// paths run the same bodies and the same barrier, so the value moves
+/// wall time only, never a result.
+const FAN_OUT_MIN: usize = 256;
+
+/// The four parallel-capable phases.
+#[derive(Clone, Copy)]
+enum Phase {
+    Arrivals,
+    Injection,
+    Route,
+    Traverse,
+}
+
+impl Phase {
+    /// The phase's body.
+    fn body(self) -> Body {
+        match self {
+            Phase::Arrivals => arrivals_fan_out,
+            Phase::Injection => injection,
+            Phase::Route => route,
+            Phase::Traverse => traverse,
+        }
+    }
+
+    /// The components the body will visit in shard `sh`: the active
+    /// set it drains, or, for traversal, the routers route left in
+    /// `scratch.ids`.
+    fn work(self, sh: &Shard) -> usize {
+        match self {
+            Phase::Arrivals => sh.link_set.len(),
+            Phase::Injection => sh.injector_set.len(),
+            Phase::Route => sh.router_set.len(),
+            Phase::Traverse => sh.scratch.ids.len(),
+        }
+    }
+}
+
+/// How one phase's shard bodies were dispatched, counted in
+/// shard-phases (one per shard per cycle the phase ran).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseDispatch {
+    /// Shard-phases run as tasks on the worker team.
+    pub team: u64,
+    /// Shard-phases run on the calling thread.
+    pub inline: u64,
+}
+
+/// Deterministic counters of how the stepper scheduled its work
+/// ([`Network::step_stats`]). They are kept outside [`SimReport`]
+/// because the schedules legitimately do different amounts of work
+/// for byte-identical reports; recording them costs one add per phase
+/// and changes no result.
+///
+/// [`SimReport`]: crate::SimReport
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StepStats {
+    /// Arrivals (the serial walk counts every shard as inline).
+    pub arrivals: PhaseDispatch,
+    /// Injection.
+    pub injection: PhaseDispatch,
+    /// Routing and orphan-credit collection.
+    pub route: PhaseDispatch,
+    /// Switch traversal.
+    pub traverse: PhaseDispatch,
+    /// Cycles of a sharded run whose arrivals the gate sent to the
+    /// serial walk.
+    pub arrivals_gate_serial: u64,
+}
+
+impl StepStats {
+    fn record(&mut self, phase: Phase, on_team: bool, shards: usize) {
+        let slot = match phase {
+            Phase::Arrivals => &mut self.arrivals,
+            Phase::Injection => &mut self.injection,
+            Phase::Route => &mut self.route,
+            Phase::Traverse => &mut self.traverse,
+        };
+        let count = if on_team {
+            &mut slot.team
+        } else {
+            &mut slot.inline
+        };
+        *count += shards as u64;
+    }
+}
 
 /// Per-shard mutation buffers, drained at each phase barrier in shard
 /// order. One per shard, persistent across cycles so the Vec
@@ -231,10 +333,15 @@ impl Network {
         (ctx, &mut self.shards[s], &mut self.fault_rng)
     }
 
-    /// Runs `body` once per shard: on the team under the sharded
-    /// schedule, else on the calling thread in shard order.
-    fn run_phase(&mut self, now: Cycle, body: Body) {
-        if self.fans_out() {
+    /// Runs `phase`'s body once per shard: on the team under the
+    /// sharded schedule when the phase visits at least [`FAN_OUT_MIN`]
+    /// components, else on the calling thread in shard order.
+    fn run_phase(&mut self, now: Cycle, phase: Phase) {
+        let on_team = self.fans_out()
+            && self.shards.iter().map(|sh| phase.work(sh)).sum::<usize>() >= FAN_OUT_MIN;
+        self.step_stats.record(phase, on_team, self.shards.len());
+        let body = phase.body();
+        if on_team {
             self.team_fan_out(now, body);
             return;
         }
@@ -318,14 +425,19 @@ impl Network {
         true
     }
 
-    /// The arrivals phase: fan-out when the gate allows it, else the
-    /// serial walk over every candidate link in global original-index
-    /// order (all links under the dense schedule, the drained active
-    /// sets otherwise).
+    /// The arrivals phase: the per-shard fan-out body when the gate
+    /// allows it, else the serial walk over every candidate link in
+    /// global original-index order (all links under the dense
+    /// schedule, the drained active sets otherwise).
     pub(super) fn phase_arrivals(&mut self, now: Cycle) {
         if self.fans_out() && self.arrivals_parallel_ok(now) {
-            self.team_fan_out(now, arrivals_fan_out);
+            self.run_phase(now, Phase::Arrivals);
         } else {
+            if self.fans_out() {
+                self.step_stats.arrivals_gate_serial += 1;
+            }
+            self.step_stats
+                .record(Phase::Arrivals, false, self.shards.len());
             let mut ids = std::mem::take(&mut self.ids_scratch);
             ids.clear();
             if self.reference_stepper {
@@ -403,7 +515,7 @@ impl Network {
     // --------------------------------------------------------------
 
     pub(super) fn phase_injection(&mut self, now: Cycle) {
-        self.run_phase(now, injection);
+        self.run_phase(now, Phase::Injection);
         for s in 0..self.shards.len() {
             // Per injector the order is Kill event (buffered),
             // registry insert, forward token push. Nothing in this
@@ -428,9 +540,9 @@ impl Network {
         // Routing/VC-allocation and orphan-credit collection; the
         // orphan credits must land before any traversal reads its
         // credit counters.
-        self.run_phase(now, route);
+        self.run_phase(now, Phase::Route);
         self.apply_all_scratch(now);
-        self.run_phase(now, traverse);
+        self.run_phase(now, Phase::Traverse);
         // Traverse barrier, in shard order: link pushes (the
         // cross-shard flit handoff, in router-ascending emission
         // order), then deliveries with all their side effects, then

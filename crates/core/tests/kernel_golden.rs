@@ -45,7 +45,10 @@ enum Schedule {
     DenseSharded,
     /// Active sets at one shard, on the calling thread.
     Serial,
-    /// Active sets at two shards on a two-worker team.
+    /// Active sets at two shards, with a two-worker team allowed.
+    /// These 4×4 cases never reach the fan-out threshold, so the
+    /// bodies run on the calling thread; `shard_equiv` covers the
+    /// team path.
     Sharded,
 }
 

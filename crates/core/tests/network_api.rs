@@ -262,3 +262,36 @@ fn torus256_builds_and_drains_a_message() {
     let seqs: Vec<u64> = net.take_delivery_log().iter().map(|d| d.msg_seq).collect();
     assert_eq!(seqs, vec![0, 1], "one flow, delivered in order");
 }
+
+/// `step_stats` counts how phases were dispatched. A one-shard run
+/// never uses the worker team, even when every node injects at once;
+/// the same burst at two shards is big enough to use it.
+#[test]
+fn one_shard_run_dispatches_nothing_to_the_team() {
+    let burst = |shards: usize| {
+        let mut net = NetworkBuilder::new(KAryNCube::torus(16, 2))
+            .routing(RoutingKind::Adaptive { vcs: 1 })
+            .protocol(ProtocolKind::Cr)
+            .warmup(0)
+            .seed(5)
+            .shards(shards)
+            .build();
+        for n in 0..256u32 {
+            net.send_message(NodeId::new(n), NodeId::new((n + 17) % 256), 8);
+        }
+        assert!(net.run_until_quiescent(10_000));
+        net.step_stats()
+    };
+    let serial = burst(1);
+    for phase in [
+        serial.arrivals,
+        serial.injection,
+        serial.route,
+        serial.traverse,
+    ] {
+        assert_eq!(phase.team, 0, "{serial:?}");
+        assert!(phase.inline > 0, "{serial:?}");
+    }
+    assert_eq!(serial.arrivals_gate_serial, 0);
+    assert!(burst(2).injection.team > 0);
+}

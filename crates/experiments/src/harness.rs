@@ -300,8 +300,9 @@ impl Scale {
     /// changes. A `--churn <plan.json>` flag (via [`set_churn_plan`])
     /// installs a live kill/revive schedule on every network built;
     /// the plan's JSON schema is documented in `EXPERIMENTS.md`. A
-    /// flag whose value is missing or malformed exits the process with
-    /// status 2 and a diagnostic.
+    /// flag whose value is missing or malformed, or a `CR_JOBS` /
+    /// `CR_SHARDS` value that is not a non-negative integer, exits the
+    /// process with status 2 and a diagnostic naming it.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
         let mut it = args.iter();
@@ -326,6 +327,13 @@ impl Scale {
                 }
             } else if let Some(p) = a.strip_prefix("--churn=") {
                 apply_churn_arg(p);
+            }
+        }
+        // The environment fallbacks of `--jobs` / `--shards` get the
+        // same check as the flags.
+        for var in ["CR_JOBS", "CR_SHARDS"] {
+            if let Ok(v) = std::env::var(var) {
+                count_arg(var, Some(&v));
             }
         }
         if args.iter().any(|a| a == "--tiny") {

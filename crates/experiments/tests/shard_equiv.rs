@@ -13,17 +13,20 @@
 //! * an identical drained trace-event stream (order included),
 //! * the same final clock,
 //!
-//! at sweep `jobs = 1` and `jobs = 4`. Each sharded run forces real
+//! at sweep `jobs = 1` and `jobs = 4`. Each sharded run allows real
 //! worker threads via `set_shard_threads(4)` even on a single-core
-//! box, so cross-shard handoff ordering is actually exercised. Any
-//! unsorted barrier drain, any shard-local RNG draw, or any cross-
-//! shard mutation outside a barrier shows up here as a diff.
+//! box. A phase only goes to the team when it visits enough
+//! components, so the tiny fabrics step inline; a 32×32 torus input
+//! crosses the threshold and checks that the team path, and the
+//! switch between the two paths, are exercised. Any unsorted barrier
+//! drain, any shard-local RNG draw, or any cross-shard mutation
+//! outside a barrier shows up here as a diff.
 //!
 //! Property tests (cr_sim::check) extend the fixed grid with random
 //! topologies and random shard counts, including `shards = 1` and
 //! `shards > nodes`.
 
-use cr_core::{NetworkBuilder, ProtocolKind, RetransmitScheme, RoutingKind};
+use cr_core::{NetworkBuilder, ProtocolKind, RetransmitScheme, RoutingKind, StepStats};
 use cr_experiments::{showdown, Scale, SweepRunner};
 use cr_faults::FaultModel;
 use cr_sim::shard::Plan;
@@ -37,15 +40,15 @@ use cr_traffic::{LengthDistribution, TrafficPattern};
 const SHARD_COUNTS: [usize; 3] = [2, 4, 7];
 
 /// Runs the same configuration serially and at each count in
-/// `shard_counts`, asserting report + trace + clock equality. Sharded
-/// runs pin 4 worker threads so the parallel path is real even on one
-/// core.
+/// `shard_counts`, asserting report + trace + clock equality, and
+/// returns each sharded run's dispatch counters. Sharded runs pin 4
+/// worker threads so the parallel path is real even on one core.
 fn assert_shard_twin(
     label: &str,
     cycles: u64,
     shard_counts: &[usize],
     mut build: impl FnMut() -> NetworkBuilder,
-) {
+) -> Vec<StepStats> {
     let mut serial = build().build();
     assert_eq!(serial.num_shards(), 1, "{label}: serial run got sharded");
     let s = serial.run(cycles).to_json();
@@ -53,6 +56,7 @@ fn assert_shard_twin(
     let s_events = serial.take_trace_events();
     assert!(s.contains("counters"), "{label}: empty report");
 
+    let mut stats = Vec::new();
     for &shards in shard_counts {
         let mut sharded = build().shards(shards).build();
         assert!(
@@ -71,12 +75,32 @@ fn assert_shard_twin(
             sharded.take_trace_events(),
             "{label}: shards={shards} trace event streams differ"
         );
+        stats.push(sharded.step_stats());
     }
+    stats
 }
 
-/// Fig. 9 shape: plain CR, adaptive routing, uniform traffic.
+/// Fig. 9 shape: plain CR, adaptive routing, uniform traffic. The
+/// 32×32 input is large enough that loaded phases fan out on the team
+/// while the quiet first cycles stay inline.
 #[test]
 fn fig09_style_shard_twin_matches() {
+    let stats = assert_shard_twin("fig09 torus32", 300, &[2], || {
+        let mut b = NetworkBuilder::new(KAryNCube::torus(32, 2));
+        b.routing(RoutingKind::Adaptive { vcs: 1 })
+            .protocol(ProtocolKind::Cr)
+            .warmup(0)
+            .traffic(TrafficPattern::Uniform, LengthDistribution::Fixed(16), 0.3)
+            .trace(4096)
+            .seed(0x932);
+        b
+    });
+    let phases = [stats[0].injection, stats[0].route, stats[0].traverse];
+    assert!(
+        phases.iter().any(|p| p.team > 0) && phases.iter().any(|p| p.inline > 0),
+        "torus32: expected both team and inline phases: {:?}",
+        stats[0]
+    );
     for vcs in [1, 2] {
         assert_shard_twin(
             &format!("fig09 vcs={vcs}"),

